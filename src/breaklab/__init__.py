@@ -1,7 +1,6 @@
 """breaklab: structural-break statistics, simulated DGPs, and limit-process
 critical values for reproducible Monte Carlo size/power studies."""
 
-from ._backend import BACKEND, HAVE_NUMBA
 from .break_tests import (
     TestOutcome,
     cusum_path,

@@ -40,6 +40,10 @@ COMPATIBLE_TABLE_KINDS = {
     "wald": ("supqp",),
 }
 
+#: what the Wald scan does at a split with a singular regime fit
+ON_SINGULAR_SKIP = "skip"
+ON_SINGULAR_FAIL = "fail"
+
 #: normalization choices for the squared-residual statistic
 CUSUMSQ_NORM_SQ_SD = "sq_sd"
 CUSUMSQ_NORM_RESID_SD = "resid_sd"
@@ -54,6 +58,11 @@ class TestOutcome:
     coefficient-stability Wald statistic); critical-value tables must match
     it.  ``skipped`` lists candidate indices where no statistic was
     computable (singular regime fit).
+
+    An outcome computed from a fit of stacked samples holds one row per
+    replication: ``path`` is (R, m), ``sup_value`` and ``argmax_k`` are
+    arrays (NaN and -1 where the per-sample call would raise), and
+    ``skipped`` counts the skipped indices of each replication.
     """
 
     statistic_kind: str
@@ -82,15 +91,28 @@ class TestOutcome:
         }
 
 
-def _require_nondegenerate(fit):
-    """Reject fits whose residual variance is zero relative to the data.
+def _nondegenerate(fit):
+    """Whether a fit's residual variance is nonzero relative to the data.
 
     The threshold is relative to the fitted values so that exactly- or
     numerically-constant samples fail while genuinely noisy ones never do.
+    Works row-wise on a fit of stacked samples.
     """
-    scale = float(np.mean((fit.design @ fit.beta_hat) ** 2))
-    if fit.sigma_hat_sq <= 0.0 or fit.sigma_hat_sq <= 1e-20 * scale:
-        raise DegenerateSampleError("residual variance is zero; statistic undefined")
+    scale = np.mean(((fit.design @ fit.beta_hat[..., None])[..., 0]) ** 2, axis=-1)
+    return ~((fit.sigma_hat_sq <= 0.0) | (fit.sigma_hat_sq <= 1e-20 * scale))
+
+
+def _usable(fit):
+    """Where the statistics are defined on ``fit``.
+
+    One sample: True, or :class:`DegenerateSampleError`.  A stack: the mask
+    of replications with a full-rank, nondegenerate pooled fit.
+    """
+    if np.ndim(fit.sigma_hat_sq) == 0:
+        if not _nondegenerate(fit):
+            raise DegenerateSampleError("residual variance is zero; statistic undefined")
+        return True
+    return fit.full_rank & _nondegenerate(fit)
 
 
 def scan_range(T, p, nu):
@@ -106,22 +128,38 @@ def scan_range(T, p, nu):
     return k_lo, k_hi
 
 
-def _finish(kind, ks, path, nu, p, sided, skipped=()):
+def _sup_over_path(path, sided):
+    """Supremum of each path over its last axis, ignoring NaN entries.
+
+    Returns ``(sup, index)``; ties resolve to the smallest index, and a path
+    with no computable entry gives NaN.
+    """
     if sided == TWO_SIDED_ABS:
         score = np.abs(path)
     elif sided == SIGNED:
         score = path
     else:
         raise SpecError(f"unknown sidedness {sided!r}")
-    if np.all(np.isnan(score)):
+    missing = np.isnan(score)
+    best = np.argmax(np.where(missing, -np.inf, score), axis=-1)
+    sup = np.take_along_axis(score, np.expand_dims(best, -1), axis=-1)[..., 0]
+    return np.where(missing.all(axis=-1), np.nan, sup), best
+
+
+def _finish(kind, ks, path, nu, p, sided, valid=True, skipped=()):
+    if path.ndim == 2:
+        path = np.where(valid[:, None], path, np.nan)
+        sup, best = _sup_over_path(path, sided)
+        argmax_k = np.where(np.isnan(sup), -1, ks[best])
+        return TestOutcome(kind, ks, path, sup, argmax_k, float(nu), p, sided, skipped)
+    sup, best = _sup_over_path(path, sided)
+    if np.isnan(sup):
         raise NumericalError(f"{kind}: no candidate break index was computable")
-    best = int(np.nanargmax(score))  # ties resolve to the smallest k
-    sup = float(score[best])
     return TestOutcome(
         statistic_kind=kind,
         ks=ks,
         path=path,
-        sup_value=sup,
+        sup_value=float(sup),
         argmax_k=int(ks[best]),
         nu=float(nu),
         p=p,
@@ -130,12 +168,22 @@ def _finish(kind, ks, path, nu, p, sided, skipped=()):
     )
 
 
+# ---------------------------------------------------------------------------
+# statistics of one pooled fit
+#
+# Every statistic is a functional of the pooled fit: the CUSUMs of its
+# residuals, Wald and zmean of its residual partial sums and the cumulative
+# Gram matrix.  The fit may be of one sample or of stacked samples (see
+# ``estimators.fit_xy``); the engine evaluates whole blocks through the
+# same functions.
+# ---------------------------------------------------------------------------
+
 def _bridge_centered(values, k_lo, k_hi):
     """(S_k - (k/T) S_T) for k in [k_lo, k_hi], S the running sum of values."""
-    T = values.shape[0]
-    sums = np.cumsum(values)
+    T = values.shape[-1]
+    sums = np.cumsum(values, axis=-1)
     ks = np.arange(k_lo, k_hi + 1)
-    return ks, sums[ks - 1] - (ks / T) * sums[-1]
+    return ks, sums[..., ks - 1] - (ks / T) * sums[..., -1:]
 
 
 def cusum_path(fit, nu=0.0, sided=TWO_SIDED_ABS):
@@ -144,19 +192,19 @@ def cusum_path(fit, nu=0.0, sided=TWO_SIDED_ABS):
     Parameters
     ----------
     fit : OlsFit
-        Full-sample fit whose residuals drive the statistic.
+        Full-sample fit whose residuals drive the statistic, of one sample
+        or of stacked samples.
     nu : float
         Trimming fraction; the default scans every feasible index.
     sided : str
         ``two_sided_abs`` (default) takes the sup of |path|; ``signed``
         takes the sup of the path itself.
     """
-    _require_nondegenerate(fit)
+    valid = _usable(fit)
     T = fit.n_obs
-    k_lo, k_hi = scan_range(T, fit.p, nu)
-    ks, centered = _bridge_centered(fit.residuals, k_lo, k_hi)
-    path = centered / (math.sqrt(fit.sigma_hat_sq) * math.sqrt(T))
-    return _finish("cusum", ks, path, nu, 1, sided)
+    ks, centered = _bridge_centered(fit.residuals, *scan_range(T, fit.p, nu))
+    scale = np.sqrt(fit.sigma_hat_sq) * math.sqrt(T)
+    return _finish("cusum", ks, centered / np.expand_dims(scale, -1), nu, 1, sided, valid)
 
 
 def cusum_sq_path(fit, nu=0.0, normalization=CUSUMSQ_NORM_SQ_SD, sided=TWO_SIDED_ABS):
@@ -168,55 +216,70 @@ def cusum_sq_path(fit, nu=0.0, normalization=CUSUMSQ_NORM_SQ_SD, sided=TWO_SIDED
     residual standard deviation (the literal display form); that variant is
     not pivotal and exists for comparison.
     """
-    _require_nondegenerate(fit)
+    valid = _usable(fit)
     T = fit.n_obs
-    k_lo, k_hi = scan_range(T, fit.p, nu)
     sq = fit.residuals**2
-    ks, centered = _bridge_centered(sq, k_lo, k_hi)
+    ks, centered = _bridge_centered(sq, *scan_range(T, fit.p, nu))
     if normalization == CUSUMSQ_NORM_SQ_SD:
-        var_sq = float(np.mean((sq - np.mean(sq)) ** 2))
-        if var_sq == 0.0:
-            # constant squared residuals: exactly centered path, no evidence
-            path = np.zeros_like(centered)
-        else:
-            path = centered / (math.sqrt(var_sq) * math.sqrt(T))
+        spread = np.mean((sq - np.mean(sq, axis=-1, keepdims=True)) ** 2, axis=-1)
     elif normalization == CUSUMSQ_NORM_RESID_SD:
-        path = centered / (math.sqrt(fit.sigma_hat_sq) * math.sqrt(T))
+        spread = fit.sigma_hat_sq
     else:
         raise SpecError(f"unknown cusumsq normalization {normalization!r}")
-    return _finish("cusumsq", ks, path, nu, 1, sided)
+    scale = np.expand_dims(np.sqrt(spread) * math.sqrt(T), -1)
+    # constant squared residuals: exactly centered path, no evidence
+    with np.errstate(divide="ignore", invalid="ignore"):
+        path = np.where(scale == 0.0, 0.0, centered / scale)
+    return _finish("cusumsq", ks, path, nu, 1, sided, valid)
+
+
+def _is_intercept_only(X):
+    return X.shape[-1] == 1 and np.all(X == 1.0, axis=(-2, -1))
 
 
 def _require_intercept_only(X):
-    if X.shape[1] != 1 or not np.all(X == 1.0):
+    if not _is_intercept_only(X):
         raise SpecError(
             "statistic requires the intercept-only model (design must be a single all-ones column)"
         )
 
 
+def _wald_outcome(kind, fit, nu, on_singular=ON_SINGULAR_SKIP):
+    """Wald (or, on the intercept-only design, zmean) outcome of a pooled fit."""
+    valid = _usable(fit)
+    T, p = fit.design.shape[-2:]
+    k_lo, k_hi = scan_range(T, p, nu)
+    vals, ok = kernels.wald_scan(
+        fit.design, fit.residuals, k_lo, k_hi, fit.sigma_hat_sq, kernels.GRAM_PIVOT_RTOL
+    )
+    ks = np.arange(k_lo, k_hi + 1)
+    p = 1 if kind == "zmean" else p
+    if vals.ndim == 2:
+        if kind == "zmean":
+            valid = valid & _is_intercept_only(fit.design)
+        skipped = np.where(valid, np.count_nonzero(~ok, axis=-1), 0)
+        return _finish(kind, ks, vals, nu, p, SIGNED, valid, skipped)
+    skipped = ks[~ok]
+    if skipped.size:
+        if on_singular == ON_SINGULAR_FAIL:
+            raise NumericalError(
+                f"{kind}: singular regime fit at k={int(skipped[0])}"
+                + (f" (+{skipped.size - 1} more)" if skipped.size > 1 else "")
+            )
+        log.warning(
+            "%s: skipped %d candidate index(es) with singular regime fits", kind, skipped.size
+        )
+    return _finish(kind, ks, vals, nu, p, SIGNED, skipped=skipped)
+
+
 def z_mean_path(sample, nu=0.15):
     """Squared standardized difference of regime means, already scaled by T.
 
-    Defined for the intercept-only model; the path is nonnegative so the
-    supremum is one-sided.
+    Defined for the intercept-only model, where it is the Wald statistic of
+    the mean; the path is nonnegative so the supremum is one-sided.
     """
     _require_intercept_only(sample.X)
-    fit = ols_fit(sample)
-    _require_nondegenerate(fit)
-    T = sample.n_obs
-    k_lo, k_hi = scan_range(T, 1, nu)
-    ks = np.arange(k_lo, k_hi + 1)
-    cum = np.cumsum(sample.y)
-    total = cum[-1]
-    ybar1 = cum[ks - 1] / ks
-    ybar2 = (total - cum[ks - 1]) / (T - ks)
-    frac = ks / T
-    path = T * (ybar1 - ybar2) ** 2 * frac * (1.0 - frac) / fit.sigma_hat_sq
-    return _finish("zmean", ks, path, nu, 1, SIGNED)
-
-
-ON_SINGULAR_SKIP = "skip"
-ON_SINGULAR_FAIL = "fail"
+    return _wald_outcome("zmean", ols_fit(sample), nu)
 
 
 def wald_path(sample, nu=0.15, on_singular=ON_SINGULAR_SKIP):
@@ -229,25 +292,21 @@ def wald_path(sample, nu=0.15, on_singular=ON_SINGULAR_SKIP):
     """
     if on_singular not in (ON_SINGULAR_SKIP, ON_SINGULAR_FAIL):
         raise SpecError(f"on_singular must be 'skip' or 'fail', got {on_singular!r}")
-    fit = ols_fit(sample)
-    _require_nondegenerate(fit)
-    T, p = sample.X.shape
-    k_lo, k_hi = scan_range(T, p, nu)
-    vals, ok = kernels.wald_scan(
-        sample.X, sample.y, k_lo, k_hi, fit.sigma_hat_sq, kernels.GRAM_PIVOT_RTOL
-    )
-    ks = np.arange(k_lo, k_hi + 1)
-    skipped = ks[~ok]
-    if skipped.size:
-        if on_singular == ON_SINGULAR_FAIL:
-            raise NumericalError(
-                f"wald: singular regime fit at k={int(skipped[0])}"
-                + (f" (+{skipped.size - 1} more)" if skipped.size > 1 else "")
-            )
-        log.warning(
-            "wald: skipped %d candidate index(es) with singular regime fits", skipped.size
-        )
-    return _finish("wald", ks, vals, nu, p, SIGNED, skipped=skipped)
+    return _wald_outcome("wald", ols_fit(sample), nu, on_singular)
+
+
+def evaluate_block(kind, fit, nu):
+    """Statistic ``kind`` at its default settings on a fit of stacked
+    samples; returns a stacked :class:`TestOutcome`.  Replications whose
+    values are discarded may overflow on the way, so those warnings are off."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if kind == "cusum":
+            return cusum_path(fit, nu)
+        if kind == "cusumsq":
+            return cusum_sq_path(fit, nu)
+        if kind in ("zmean", "wald"):
+            return _wald_outcome(kind, fit, nu)
+    raise SpecError(f"unknown statistic kind {kind!r}")
 
 
 def decide(outcome, table, level):

@@ -365,7 +365,11 @@ def sample_to_csv(sample, path):
 
 
 def sample_from_csv(path):
-    """Read a sample written by :func:`sample_to_csv` (truth is not stored)."""
+    """Read a sample written by :func:`sample_to_csv` (truth is not stored).
+
+    Rejects ``nan``/``inf`` in y or X with a :class:`DataError` naming the
+    first such data row (1-based, header excluded).
+    """
     if not os.path.exists(path):
         raise DataError(f"input file does not exist: {path}")
     with open(path) as fh:
@@ -382,5 +386,11 @@ def sample_from_csv(path):
     if data.shape[1] != len(cols):
         raise DataError(
             f"{path}: header names {len(cols)} columns but rows have {data.shape[1]}"
+        )
+    bad = np.flatnonzero(~np.isfinite(data[:, 1:]).all(axis=1))
+    if bad.size:
+        raise DataError(
+            f"{path}: data row {bad[0] + 1} has a non-finite value in y or X"
+            + (f" (+{bad.size - 1} more rows)" if bad.size > 1 else "")
         )
     return Sample(y=data[:, 1], X=data[:, 2:])

@@ -9,9 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BreakIndexError, DataError, SingularDesignError
-
-#: relative tolerance of the rank-revealing singularity check
-RANK_RTOL = 1e-10
+from .kernels import GRAM_PIVOT_RTOL, ldl, ldl_solve
 
 
 @dataclass
@@ -20,7 +18,9 @@ class OlsFit:
 
     ``design`` keeps the regressor matrix so partial-sum operations can be
     computed from the fit alone; ``sample_ref`` is a free-form identifier of
-    the fitted sample.
+    the fitted sample.  A fit of stacked samples carries the replication
+    axis first in every field, and ``full_rank`` flags the samples whose
+    design passed the rank check (the other rows hold no estimate).
     """
 
     beta_hat: np.ndarray
@@ -29,14 +29,15 @@ class OlsFit:
     xtx: np.ndarray
     design: np.ndarray
     sample_ref: str = ""
+    full_rank: object = True
 
     @property
     def n_obs(self):
-        return self.residuals.shape[0]
+        return self.residuals.shape[-1]
 
     @property
     def p(self):
-        return self.design.shape[1]
+        return self.design.shape[-1]
 
     def to_record(self):
         """JSON-ready summary record."""
@@ -66,73 +67,47 @@ class SplitFit:
         }
 
 
-def _solve_gram(gram, rhs):
-    """Solve the normal equations by square-root-free LDL'.
-
-    Pivots are checked column by column against ``RANK_RTOL`` times the
-    largest Gram diagonal, so the first numerically dependent column is
-    named.  The factorization is exact on integer-valued problems, which the
-    noiseless hand-check examples rely on.
-    """
-    p = gram.shape[0]
-    diag_scale = float(np.max(np.diag(gram))) if p else 0.0
-    if diag_scale <= 0.0:
-        raise SingularDesignError(0, "design matrix is identically zero")
-    pivot_floor = RANK_RTOL * diag_scale
-    lower = np.zeros((p, p))
-    diag = np.empty(p)
-    for i in range(p):
-        s = gram[i, i]
-        for k in range(i):
-            s -= lower[i, k] * lower[i, k] * diag[k]
-        if s <= pivot_floor:
-            raise SingularDesignError(i)
-        diag[i] = s
-        for j in range(i + 1, p):
-            s2 = gram[j, i]
-            for k in range(i):
-                s2 -= lower[j, k] * lower[i, k] * diag[k]
-            lower[j, i] = s2 / s
-    out = np.array(rhs, dtype=np.float64)
-    for i in range(p):
-        for k in range(i):
-            out[i] -= lower[i, k] * out[k]
-    out /= diag
-    for i in range(p - 1, -1, -1):
-        for k in range(i + 1, p):
-            out[i] -= lower[k, i] * out[k]
-    return out
-
-
 def fit_xy(X, y, sample_ref=""):
     """OLS via the normal equations with a rank-revealing singularity check.
 
-    Raises :class:`SingularDesignError` naming the first design column that
-    is linearly dependent on the ones before it.
+    ``X`` (T, p) and ``y`` (T,) are one sample; with a leading replication
+    axis, (R, T, p) and (R, T), every stacked sample is fitted at once by
+    one batched LDL' and the fit's fields carry that axis too.  Pivots are
+    checked against ``GRAM_PIVOT_RTOL`` times the largest Gram diagonal.
+    One rank-deficient sample raises :class:`SingularDesignError` naming the
+    first design column that is linearly dependent on the ones before it; in
+    a stack, ``full_rank`` flags each sample instead.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] == 0:
-        raise DataError(f"design matrix must be 2-D with columns, got shape {X.shape}")
-    T, p = X.shape
+    if X.ndim not in (2, 3) or X.shape[-1] == 0:
+        raise DataError(f"design matrix must be (T, p) or (R, T, p) with p > 0, got shape {X.shape}")
+    T, p = X.shape[-2:]
     if T < p:
         raise DataError(f"need at least p={p} observations, got {T}")
-    xtx = X.T @ X
-    beta = _solve_gram(xtx, X.T @ y)
-    residuals = y - X @ beta
-    sigma_hat_sq = float(residuals @ residuals) / T
+    Xt = np.swapaxes(X, -1, -2)
+    xtx = Xt @ X
+    floor = GRAM_PIVOT_RTOL * np.max(np.diagonal(xtx, axis1=-2, axis2=-1), axis=-1)
+    lower, diag, bad = ldl(np.moveaxis(xtx, 0, -1) if X.ndim == 3 else xtx, floor)
+    if X.ndim == 2 and bad < p:
+        raise SingularDesignError(int(bad))
+    beta = ldl_solve(lower, diag, (Xt @ y[..., None])[..., 0].T).T
+    residuals = y - (X @ beta[..., None])[..., 0]
+    rss = (residuals[..., None, :] @ residuals[..., :, None])[..., 0, 0]
     return OlsFit(
         beta_hat=beta,
         residuals=residuals,
-        sigma_hat_sq=sigma_hat_sq,
+        sigma_hat_sq=rss / T if X.ndim == 3 else float(rss) / T,
         xtx=xtx,
         design=X,
         sample_ref=sample_ref,
+        full_rank=bad == p,
     )
 
 
 def ols_fit(sample, sample_ref=""):
-    """Full-sample OLS fit of a :class:`~breaklab.dgp.Sample`."""
+    """Full-sample OLS fit of a :class:`~breaklab.dgp.Sample`, or of a stack
+    of samples exposing (R, T, p) ``X`` and (R, T) ``y`` (see :func:`fit_xy`)."""
     return fit_xy(sample.X, sample.y, sample_ref=sample_ref)
 
 

@@ -4,12 +4,16 @@ Replication r of every cell draws from the stream (master_seed, r), so a
 report is a pure function of its spec: reruns with any worker count produce
 byte-identical results.  Replications are processed in fixed-size chunks;
 with ``workers > 1`` the chunks go through a process pool, and results are
-merged back in replication order before any aggregate is computed.
+merged back in replication order before any aggregate is computed.  Inside
+a chunk, replications are generated in small blocks: each replication gets
+one pooled fit, and each statistic is evaluated once per block on the
+stacked fits.
 """
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,32 +52,64 @@ PATHS_COLUMNS = ("family", "T", "s", "c", "corr", "stat", "rep", "k", "value")
 # statistic registry
 # ---------------------------------------------------------------------------
 
-def _pooled_fit(sample, cache):
-    if "fit" not in cache:
-        cache["fit"] = ols_fit(sample)
-    return cache["fit"]
+class SampleBlock:
+    """Samples of consecutive replications of one cell, stacked.
+
+    ``X`` is (R, T, p) and ``y`` (R, T).  The pooled fit of every sample is
+    computed once, on first use, and shared by all statistics.
+    """
+
+    def __init__(self, samples):
+        self.samples = samples
+        self.X = np.stack([s.X for s in samples])
+        self.y = np.stack([s.y for s in samples])
+        self.caches = [{} for _ in samples]
+
+    def __len__(self):
+        return len(self.samples)
+
+    @cached_property
+    def fit(self):
+        # a rank-deficient row holds no estimate and may overflow; it is discarded
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ols_fit(self)
 
 
-def _compute_cusum(sample, nu, cache):
-    return break_tests.cusum_path(_pooled_fit(sample, cache), nu)
+def _builtin(kind):
+    def compute(block, nu):
+        out = break_tests.evaluate_block(kind, block.fit, nu)
+        rows = [None if np.isnan(sup) else (out.ks, path) for sup, path in zip(out.sup_value, out.path)]
+        return out.sup_value, rows, int(np.sum(out.skipped))
+
+    return compute
 
 
-def _compute_cusumsq(sample, nu, cache):
-    return break_tests.cusum_sq_path(_pooled_fit(sample, cache), nu)
+def _per_sample(compute):
+    """Block form of ``compute(sample, nu, cache)``, which returns an outcome
+    with ``sup_value``, ``ks`` and ``path`` or raises for that sample."""
 
+    def block_compute(block, nu):
+        sups = np.full(len(block), np.nan)
+        rows = [None] * len(block)
+        for i, (sample, cache) in enumerate(zip(block.samples, block.caches)):
+            try:
+                outcome = compute(sample, nu, cache)
+            except BreakLabError:
+                continue
+            sups[i] = outcome.sup_value
+            rows[i] = (outcome.ks, outcome.path)
+        return sups, rows, 0
 
-def _compute_zmean(sample, nu, cache):
-    return break_tests.z_mean_path(sample, nu)
-
-
-def _compute_wald(sample, nu, cache):
-    return break_tests.wald_path(sample, nu)
+    return block_compute
 
 
 @dataclass(frozen=True)
 class StatRecipe:
     """How the engine runs one statistic kind.
 
+    ``compute(block, nu)`` evaluates a :class:`SampleBlock` and returns the
+    sup per replication (NaN where it failed), per replication the
+    ``(ks, path)`` pair or None, and the number of skipped Wald splits.
     ``table_kind`` names the limit functional whose quantiles calibrate the
     test (None means a fixed critical value of 0, used by harness stubs);
     ``limit_dim`` maps the sample design dimension to the table dimension.
@@ -86,17 +122,21 @@ class StatRecipe:
 
 
 STAT_RECIPES = {
-    "cusum": StatRecipe(_compute_cusum, "supabsbb", lambda d: 1, 0.0),
-    "cusumsq": StatRecipe(_compute_cusumsq, "supabsbb", lambda d: 1, 0.0),
-    "zmean": StatRecipe(_compute_zmean, "supqp", lambda d: 1, 0.15),
-    "wald": StatRecipe(_compute_wald, "supqp", lambda d: d, 0.15),
+    "cusum": StatRecipe(_builtin("cusum"), "supabsbb", lambda d: 1, 0.0),
+    "cusumsq": StatRecipe(_builtin("cusumsq"), "supabsbb", lambda d: 1, 0.0),
+    "zmean": StatRecipe(_builtin("zmean"), "supqp", lambda d: 1, 0.15),
+    "wald": StatRecipe(_builtin("wald"), "supqp", lambda d: d, 0.15),
 }
 
 
 def register_statistic(kind, compute, table_kind=None, limit_dim=None, default_nu=0.0):
-    """Register an additional statistic kind (used by harness self-tests)."""
+    """Register an additional statistic kind (used by harness self-tests).
+
+    ``compute(sample, nu, cache)`` is called once per replication; ``cache``
+    is a dict shared by the statistics of that replication.
+    """
     STAT_RECIPES[kind] = StatRecipe(
-        compute=compute,
+        compute=_per_sample(compute),
         table_kind=table_kind,
         limit_dim=limit_dim or (lambda d: 1),
         default_nu=default_nu,
@@ -227,7 +267,11 @@ def required_table_keys(spec):
 
 
 def resolve_tables(spec):
-    """Map every required (table_kind, p, nu) to a CriticalValueTable."""
+    """Map every required (table_kind, p, nu) to a CriticalValueTable.
+
+    Raises :class:`TableLookupError` when a table is missing or lacks the
+    quantile at ``1 - spec.level``.
+    """
     keys = required_table_keys(spec)
     ts = spec.table_source
     tables = {}
@@ -258,6 +302,8 @@ def resolve_tables(spec):
                 p=p,
                 nu=nu,
             )
+    for table in tables.values():  # a missing level fails here, before any replication
+        table.lookup(1.0 - spec.level)
     return tables
 
 
@@ -265,30 +311,53 @@ def resolve_tables(spec):
 # replication engine
 # ---------------------------------------------------------------------------
 
+#: working-set budget of one block's per-split arrays (cumulative Gram,
+#: regime factors and partial sums of every stacked replication)
+BLOCK_BYTES = 1 << 20
+
+
+def block_size(T, p):
+    """Replications per block: as many as keep the per-split arrays of a
+    T-row, p-column design within :data:`BLOCK_BYTES`."""
+    return max(1, BLOCK_BYTES // (8 * T * (4 * p * p + 4 * p)))
+
+
 def _run_chunk(payload):
     """Compute sup statistics for replications [rep_lo, rep_hi) of one cell.
 
     Module-level so it can cross a process boundary; everything needed is in
-    the payload.  Returns NaN where a replication failed for that statistic.
+    the payload.  Replications are generated and evaluated in blocks of
+    :func:`block_size`; each replication's results depend on its own stream
+    alone, never on the block it landed in.  Returns NaN where a
+    replication failed for that statistic, and per statistic the number of
+    skipped Wald splits.
     """
     dgp_cfg, stat_items, master_seed, rep_lo, rep_hi, paths_upto = payload
     spec = dgp.spec_from_config(dgp_cfg)
-    count = rep_hi - rep_lo
-    sups = {kind: np.full(count, np.nan) for kind, _ in stat_items}
+    sups = {kind: np.full(rep_hi - rep_lo, np.nan) for kind, _ in stat_items}
+    skipped = dict.fromkeys(sups, 0)
     paths = []
-    for offset in range(count):
-        rep = rep_lo + offset
-        sample = dgp.generate(spec, replication_stream(master_seed, rep))
-        cache = {}
+    step = block_size(spec.T, spec.design_dim)
+    for lo in range(rep_lo, rep_hi, step):
+        hi = min(lo + step, rep_hi)
+        block = SampleBlock(
+            [dgp.generate(spec, replication_stream(master_seed, rep)) for rep in range(lo, hi)]
+        )
+        rows = {}
         for kind, nu in stat_items:
             try:
-                outcome = STAT_RECIPES[kind].compute(sample, nu, cache)
-            except BreakLabError:
+                block_sups, rows[kind], n_skipped = STAT_RECIPES[kind].compute(block, nu)
+            except BreakLabError:  # the same for every replication, e.g. no feasible split
+                rows[kind] = [None] * len(block)
                 continue
-            sups[kind][offset] = outcome.sup_value
-            if rep < paths_upto:
-                paths.append((rep, kind, outcome.ks.copy(), outcome.path.copy()))
-    return rep_lo, sups, paths
+            sups[kind][lo - rep_lo : hi - rep_lo] = block_sups
+            skipped[kind] += n_skipped
+        for rep in range(lo, min(hi, paths_upto)):
+            for kind, _ in stat_items:
+                row = rows[kind][rep - lo]
+                if row is not None:
+                    paths.append((rep, kind, row[0].copy(), row[1].copy()))
+    return rep_lo, sups, paths, skipped
 
 
 @dataclass
@@ -400,11 +469,26 @@ def run_experiment(spec, workers=1, paths_sample=0):
                 results = list(executor.map(_run_chunk, payloads))
             results.sort(key=lambda item: item[0])
             sups = {kind: np.empty(spec.n_reps) for kind in spec.stat_kinds}
-            for rep_lo, chunk_sups, chunk_paths in results:
+            skipped = dict.fromkeys(spec.stat_kinds, 0)
+            for rep_lo, chunk_sups, chunk_paths, chunk_skipped in results:
                 for kind, values in chunk_sups.items():
                     sups[kind][rep_lo : rep_lo + values.shape[0]] = values
+                    skipped[kind] += chunk_skipped[kind]
                 for rep, kind, ks, path in chunk_paths:
                     all_paths.append((dspec, kind, rep, ks, path))
+            log.info(
+                "%s T=%d s=%g c=%g corr=%g: %s",
+                dspec.family,
+                dspec.T,
+                dspec.s,
+                dspec.persistence_c,
+                float(dspec.cov.correlation),
+                "; ".join(
+                    f"{kind} failed {int(np.isnan(sups[kind]).sum())}/{spec.n_reps}"
+                    + (f", {skipped[kind]} singular splits skipped" if skipped[kind] else "")
+                    for kind in spec.stat_kinds
+                ),
+            )
             for kind, nu in stat_items:
                 recipe = STAT_RECIPES[kind]
                 if recipe.table_kind is None:

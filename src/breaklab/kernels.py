@@ -1,20 +1,16 @@
-"""Hot numeric kernels.
-
-Each kernel has a numba scalar-loop implementation and a vectorized
-pure-numpy fallback; :data:`breaklab._backend.BACKEND` picks which one the
-public names bind to.  Both paths implement the same arithmetic (same
-accumulation order wherever practical) so results agree to floating-point
-noise; parity is asserted in the test suite.
+"""Hot numeric kernels, vectorized in numpy.
 
 Kernels operate on pre-drawn innovation arrays and are fully deterministic:
 all randomness lives in :mod:`breaklab.rng` streams owned by the callers.
+The factorization and the Wald scan take stacks of small problems and
+treat every stacked problem independently, so a result never depends on
+what else was stacked with it.
 """
 
 import numpy as np
 
-from ._backend import BACKEND, HAVE_NUMBA, jit_compile
-
-#: relative pivot tolerance below which a regime Gram matrix counts as singular
+#: relative pivot tolerance below which a Gram matrix counts as singular;
+#: the one rank rule of every fit in the package
 GRAM_PIVOT_RTOL = 1e-10
 
 
@@ -22,283 +18,173 @@ GRAM_PIVOT_RTOL = 1e-10
 # first-order recursions: x_t = rho * x_{t-1} + shock_t
 # ---------------------------------------------------------------------------
 
-def _ar1_path_numpy(shocks, rho, x0):
+def ar1_path(shocks, rho, x0=0.0):
+    """Recursion x_t = rho * x_{t-1} + shock_t started at x0; returns x_1..x_n."""
     from scipy.signal import lfilter
 
-    zi = np.array([rho * x0])
-    out, _ = lfilter([1.0], [1.0, -rho], shocks, zi=zi)
-    return out
-
-
-def _ar1_path_loop(shocks, rho, x0):
-    n = shocks.shape[0]
-    out = np.empty(n)
-    prev = x0
-    for i in range(n):
-        prev = rho * prev + shocks[i]
-        out[i] = prev
+    rho = float(rho)
+    zi = np.array([rho * float(x0)])
+    out, _ = lfilter([1.0], [1.0, -rho], np.ascontiguousarray(shocks, dtype=np.float64), zi=zi)
     return out
 
 
 # ---------------------------------------------------------------------------
-# small-matrix LDL' helpers (shared singularity rule for both backends)
+# square-root-free LDL' of many small Gram matrices
 #
-# The square-root-free factorization keeps integer-valued Gram systems exact,
-# which the noiseless hand-check examples rely on.
+# Stacks keep the matrix axes first, shape (p, p, ...), so every scalar step
+# of the factorization is one elementwise operation over the whole stack.
+# The factorization keeps integer-valued Gram systems exact, which the
+# noiseless hand-check examples rely on.
 # ---------------------------------------------------------------------------
 
-def _ldl_loop(a, lower, diag, pivot_floor):
+def ldl(a, pivot_floor):
+    """LDL' of every symmetric matrix in the stack ``a`` of shape (p, p, ...).
+
+    Only the lower triangle is read.  ``pivot_floor`` broadcasts against the
+    stack shape.  Returns ``(lower, diag, bad)``: the unit lower factors, the
+    pivots (shape (p, ...)), and for each matrix the first column whose
+    pivot is at or below the floor (``p`` when none is).  A failed pivot is
+    replaced by 1 so the factors stay finite; callers discard the matrices
+    ``bad`` flags.
+    """
     p = a.shape[0]
+    lower = np.zeros_like(a)
+    diag = np.ones(a.shape[1:])
+    bad = np.full(a.shape[2:], p)
     for i in range(p):
-        s = a[i, i]
+        s = a[i, i].copy()
         for k in range(i):
             s -= lower[i, k] * lower[i, k] * diag[k]
-        if s <= pivot_floor:
-            return False
+        failed = s <= pivot_floor
+        bad = np.where(failed & (bad == p), i, bad)
+        s = np.where(failed, 1.0, s)
         diag[i] = s
         lower[i, i] = 1.0
         for j in range(i + 1, p):
-            s2 = a[j, i]
+            s2 = a[j, i].copy()
             for k in range(i):
                 s2 -= lower[j, k] * lower[i, k] * diag[k]
             lower[j, i] = s2 / s
-    return True
+    return lower, diag, bad
 
 
-def _ldl_solve_loop(lower, diag, rhs, out):
-    p = lower.shape[0]
-    for i in range(p):
-        s = rhs[i]
+def _forward(lower, rhs):
+    """Solve L z = rhs for unit lower ``L``; ``rhs`` has shape (p, ...)."""
+    out = np.zeros_like(rhs)
+    for i in range(rhs.shape[0]):
+        s = rhs[i].copy()
         for k in range(i):
             s -= lower[i, k] * out[k]
         out[i] = s
-    for i in range(p):
-        out[i] /= diag[i]
-    for i in range(p - 1, -1, -1):
-        s = out[i]
-        for k in range(i + 1, p):
-            s -= lower[k, i] * out[k]
-        out[i] = s
+    return out
 
 
-def _matvec_loop(a, x, out):
-    p = a.shape[0]
-    for i in range(p):
-        s = 0.0
-        for j in range(p):
-            s += a[i, j] * x[j]
-        out[i] = s
-
-
-def _ldl_batch(a, pivot_floor):
-    """Batched LDL' over a (m, p, p) stack; returns (ok, L, D)."""
-    m, p, _ = a.shape
-    lower = np.zeros_like(a)
-    diag = np.ones((m, p))
-    ok = np.ones(m, dtype=bool)
-    for i in range(p):
-        s = a[:, i, i].copy()
-        for k in range(i):
-            s -= lower[:, i, k] * lower[:, i, k] * diag[:, k]
-        ok &= s > pivot_floor
-        safe = np.where(s > pivot_floor, s, 1.0)
-        diag[:, i] = safe
-        lower[:, i, i] = 1.0
-        for j in range(i + 1, p):
-            s2 = a[:, j, i].copy()
-            for k in range(i):
-                s2 -= lower[:, j, k] * lower[:, i, k] * diag[:, k]
-            lower[:, j, i] = s2 / safe
-    return ok, lower, diag
-
-
-def _ldl_solve_batch(lower, diag, rhs):
-    m, p = rhs.shape
-    out = np.zeros_like(rhs)
-    for i in range(p):
-        s = rhs[:, i].copy()
-        for k in range(i):
-            s -= lower[:, i, k] * out[:, k]
-        out[:, i] = s
-    out /= diag
+def ldl_solve(lower, diag, rhs):
+    """Solve (L D L') x = rhs for every stacked system."""
+    p = rhs.shape[0]
+    out = _forward(lower, rhs) / diag
     back = np.zeros_like(rhs)
     for i in range(p - 1, -1, -1):
-        s = out[:, i].copy()
+        s = out[i].copy()
         for k in range(i + 1, p):
-            s -= lower[:, k, i] * back[:, k]
-        back[:, i] = s
+            s -= lower[k, i] * back[k]
+        back[i] = s
     return back
+
+
+def _inverse_quadratic(lower, diag, v):
+    """v' (L D L')^-1 v by forward substitution alone."""
+    z = _forward(lower, v)
+    quad = z[0] * z[0] / diag[0]
+    for i in range(1, v.shape[0]):
+        quad += z[i] * z[i] / diag[i]
+    return quad
 
 
 # ---------------------------------------------------------------------------
 # Wald statistic scan over candidate break indices
 # ---------------------------------------------------------------------------
 #
-# For each k the statistic is
-#     W(k) = (th1 - th2)' [G1^-1 + G2^-1]^-1 (th1 - th2) / sigma2
-# with G1, G2 the regime Gram matrices.  Because G1 + G2 = G the middle
-# inverse collapses to G1 G^-1 G2, so the scan needs only two regime solves
-# and one cached full-sample factorization per k.
+# With S_k the partial sum of x_t e_t over t <= k, e the residuals of the
+# pooled fit and G1, G2 the regime Gram matrices, the regime estimates differ
+# by th1 - th2 = G1^-1 S_k + G2^-1 S_k, because the regime-2 partial sum is
+# -S_k.  Their Wald contrast therefore collapses to
+#     W(k) = S_k' (G1^-1 + G2^-1) S_k / sigma2,
+# one forward substitution per regime and no regime estimates.
 
-def _wald_scan_numpy(X, y, k_lo, k_hi, sigma2, tol):
-    T, p = X.shape
-    m = k_hi - k_lo + 1
-    vals = np.full(m, np.nan)
-    ok = np.zeros(m, dtype=bool)
+def wald_scan(X, y, k_lo, k_hi, sigma2, tol=GRAM_PIVOT_RTOL):
+    """Wald statistic at every candidate split k in [k_lo, k_hi].
 
-    gram_cum = np.cumsum(X[:, :, None] * X[:, None, :], axis=0)
-    xy_cum = np.cumsum(X * y[:, None], axis=0)
-    gram = gram_cum[-1]
-    xy = xy_cum[-1]
-    pivot_floor = tol * np.max(np.diag(gram))
+    ``X`` is one (T, p) design or a stack (R, T, p) of them, with ``y`` of
+    shape (T,) or (R, T) and ``sigma2`` a scalar or one value per stacked
+    sample.  ``y`` may be the response or the residuals of its pooled fit:
+    the scan removes the full-sample fit from the cumulative cross-products,
+    so the partial sums end at zero either way.  Returns ``(values, ok)`` of
+    shape (k_hi - k_lo + 1,) or (R, k_hi - k_lo + 1): the statistic, NaN
+    where a regime Gram matrix (or the full one) was singular at the pivot
+    tolerance, and flags of the computable entries.  Values match
+    independent per-k refits to 1e-10 relative.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    single = X.ndim == 2
+    if single:
+        X, y = X[None], y[None]
+    sigma2 = np.broadcast_to(np.asarray(sigma2, dtype=np.float64), X.shape[:1])
+    p = X.shape[-1]
 
-    ok_full, l_full, d_full = _ldl_batch(gram[None, :, :], pivot_floor)
-    if not ok_full[0]:
-        return vals, ok
+    cols = np.ascontiguousarray(np.moveaxis(X, -1, 0))  # (p, R, T)
+    gram_cum = np.cumsum(cols[:, None] * cols[None, :], axis=-1)
+    xy_cum = np.cumsum(cols * y, axis=-1)
+    gram = gram_cum[..., -1]
+    floor = tol * np.max(np.diagonal(gram), axis=-1)
+    l_full, d_full, bad_full = ldl(gram, floor)
+    beta = ldl_solve(l_full, d_full, xy_cum[..., -1])[..., None]
 
-    g1 = gram_cum[k_lo - 1 : k_hi]
-    b1 = xy_cum[k_lo - 1 : k_hi]
-    g2 = gram - g1
-    b2 = xy - b1
-
-    ok1, l1, d1 = _ldl_batch(g1, pivot_floor)
-    ok2, l2, d2 = _ldl_batch(g2, pivot_floor)
-    good = ok1 & ok2
-    if not np.any(good):
-        return vals, ok
-
-    th1 = _ldl_solve_batch(l1, d1, b1)
-    th2 = _ldl_solve_batch(l2, d2, b2)
-    d = th1 - th2
-    u = np.einsum("kij,kj->ki", g2, d)
-    v = _ldl_solve_batch(
-        np.broadcast_to(l_full, (m, p, p)), np.broadcast_to(d_full, (m, p)), u
-    )
-    w = np.einsum("kij,kj->ki", g1, v)
-    stat = np.sum(d * w, axis=1) / sigma2
-    vals[good] = stat[good]
-    ok[good] = True
-    return vals, ok
-
-
-def _wald_scan_loop(X, y, k_lo, k_hi, sigma2, tol):
-    T, p = X.shape
-    m = k_hi - k_lo + 1
-    vals = np.full(m, np.nan)
-    ok = np.zeros(m, dtype=np.bool_)
-
-    gram = np.zeros((p, p))
-    xy = np.zeros(p)
-    for t in range(T):
-        for i in range(p):
-            xy[i] += X[t, i] * y[t]
-            for j in range(p):
-                gram[i, j] += X[t, i] * X[t, j]
-
-    diag_max = 0.0
-    for i in range(p):
-        if gram[i, i] > diag_max:
-            diag_max = gram[i, i]
-    pivot_floor = tol * diag_max
-
-    l_full = np.zeros((p, p))
-    d_full = np.ones(p)
-    if not _ldl_loop(gram, l_full, d_full, pivot_floor):
-        return vals, ok
-
-    g1 = np.zeros((p, p))
-    b1 = np.zeros(p)
-    g2 = np.zeros((p, p))
-    b2 = np.zeros(p)
-    l1 = np.zeros((p, p))
-    l2 = np.zeros((p, p))
-    dd1 = np.ones(p)
-    dd2 = np.ones(p)
-    th1 = np.zeros(p)
-    th2 = np.zeros(p)
-    d = np.zeros(p)
-    u = np.zeros(p)
-    v = np.zeros(p)
-    w = np.zeros(p)
-
-    for k in range(1, k_hi + 1):
-        yr = y[k - 1]
-        for i in range(p):
-            b1[i] += X[k - 1, i] * yr
-            for j in range(p):
-                g1[i, j] += X[k - 1, i] * X[k - 1, j]
-        if k < k_lo:
-            continue
-        idx = k - k_lo
-        for i in range(p):
-            b2[i] = xy[i] - b1[i]
-            for j in range(p):
-                g2[i, j] = gram[i, j] - g1[i, j]
-        for i in range(p):
-            for j in range(p):
-                l1[i, j] = 0.0
-                l2[i, j] = 0.0
-        if not _ldl_loop(g1, l1, dd1, pivot_floor):
-            continue
-        if not _ldl_loop(g2, l2, dd2, pivot_floor):
-            continue
-        _ldl_solve_loop(l1, dd1, b1, th1)
-        _ldl_solve_loop(l2, dd2, b2, th2)
-        for i in range(p):
-            d[i] = th1[i] - th2[i]
-        _matvec_loop(g2, d, u)
-        _ldl_solve_loop(l_full, d_full, u, v)
-        _matvec_loop(g1, v, w)
-        acc = 0.0
-        for i in range(p):
-            acc += d[i] * w[i]
-        vals[idx] = acc / sigma2
-        ok[idx] = True
-    return vals, ok
+    g1 = gram_cum[..., k_lo - 1 : k_hi]
+    sums = xy_cum[..., k_lo - 1 : k_hi].copy()
+    for j in range(p):
+        sums -= g1[:, j] * beta[j]
+    l1, d1, bad1 = ldl(g1, floor[:, None])
+    l2, d2, bad2 = ldl(gram[..., None] - g1, floor[:, None])
+    ok = (bad1 == p) & (bad2 == p) & (bad_full == p)[:, None]
+    quad = _inverse_quadratic(l1, d1, sums) + _inverse_quadratic(l2, d2, sums)
+    vals = np.where(ok, quad / sigma2[:, None], np.nan)
+    return (vals[0], ok[0]) if single else (vals, ok)
 
 
 # ---------------------------------------------------------------------------
 # limit-process draws from pre-drawn standard-normal increments
 # ---------------------------------------------------------------------------
 
-def _bridge_sup_numpy(z, j_lo, j_hi):
+def bridge_sup(z, j_lo, j_hi):
+    """Per-row sup |W(j/n) - (j/n) W(1)| over grid points j in [j_lo, j_hi].
+
+    ``z`` is a (draws, n) array of standard-normal increments.
+    """
+    z = np.ascontiguousarray(z, dtype=np.float64)
     B, n = z.shape
     scale = 1.0 / np.sqrt(n)
     w = np.cumsum(z, axis=1) * scale
     wn = w[:, -1]
     frac = np.arange(1, n + 1) / n
     bb = w - frac * wn[:, None]
-    lo = max(j_lo, 1)
-    seg = np.abs(bb[:, lo - 1 : j_hi])
+    lo = max(int(j_lo), 1)
+    seg = np.abs(bb[:, lo - 1 : int(j_hi)])
     if seg.shape[1] == 0:
         return np.zeros(B)
     return seg.max(axis=1)
 
 
-def _bridge_sup_loop(z, j_lo, j_hi):
-    B, n = z.shape
-    scale = 1.0 / np.sqrt(n)
-    out = np.empty(B)
-    for r in range(B):
-        total = 0.0
-        for j in range(n):
-            total += z[r, j]
-        wn = total * scale
-        best = 0.0
-        run = 0.0
-        for j in range(1, n + 1):
-            run += z[r, j - 1]
-            if j < j_lo or j > j_hi:
-                continue
-            bb = run * scale - (j / n) * wn
-            a = abs(bb)
-            if a > best:
-                best = a
-        out[r] = best
-    return out
+def qp_sup(z, j_lo, j_hi):
+    """Per-row sup of the squared normalized vector bridge over grid points.
 
-
-def _qp_sup_numpy(z, j_lo, j_hi):
+    ``z`` is (draws, p, n); the statistic at grid fraction pi = j/n is
+    ||W_p(pi) - pi W_p(1)||^2 / (pi (1 - pi)), maximised over j in
+    [j_lo, j_hi] with 1 <= j_lo <= j_hi <= n - 1.
+    """
+    z = np.ascontiguousarray(z, dtype=np.float64)
+    j_lo, j_hi = int(j_lo), int(j_hi)
     B, p, n = z.shape
     scale = 1.0 / np.sqrt(n)
     w = np.cumsum(z, axis=2) * scale
@@ -309,37 +195,6 @@ def _qp_sup_numpy(z, j_lo, j_hi):
     frac_in = frac[j_lo - 1 : j_hi]
     q = sq / (frac_in * (1.0 - frac_in))
     return q.max(axis=1)
-
-
-def _qp_sup_loop(z, j_lo, j_hi):
-    B, p, n = z.shape
-    scale = 1.0 / np.sqrt(n)
-    out = np.empty(B)
-    wn = np.empty(p)
-    run = np.empty(p)
-    for r in range(B):
-        for ci in range(p):
-            t = 0.0
-            for j in range(n):
-                t += z[r, ci, j]
-            wn[ci] = t * scale
-            run[ci] = 0.0
-        best = 0.0
-        for j in range(1, n + 1):
-            for ci in range(p):
-                run[ci] += z[r, ci, j - 1]
-            if j < j_lo or j > j_hi:
-                continue
-            frac = j / n
-            q = 0.0
-            for ci in range(p):
-                bb = run[ci] * scale - frac * wn[ci]
-                q += bb * bb
-            q /= frac * (1.0 - frac)
-            if q > best:
-                best = q
-        out[r] = best
-    return out
 
 
 def _lur_drive_coeffs(c, dt):
@@ -353,12 +208,21 @@ def _lur_drive_coeffs(c, dt):
     return decay, lam
 
 
-def _lur_cusum_sup_numpy(dbe, dbu, c):
+def lur_cusum_sup(dbe, dbu, c):
+    """Per-row sup of the persistence-contaminated bridge functional.
+
+    ``dbe``/``dbu`` are (draws, n) Brownian increments (already scaled by
+    sqrt(dt) and carrying any cross-correlation).  The mean-reverting process
+    is driven by ``dbu`` with exact one-step decay, and all stochastic
+    integrals use left-endpoint sums.
+    """
     from scipy.signal import lfilter
 
+    dbe = np.ascontiguousarray(dbe, dtype=np.float64)
+    dbu = np.ascontiguousarray(dbu, dtype=np.float64)
     B, n = dbe.shape
     dt = 1.0 / n
-    decay, lam = _lur_drive_coeffs(c, dt)
+    decay, lam = _lur_drive_coeffs(float(c), dt)
     j_path = lfilter([lam], [1.0, -decay], dbu, axis=1)
     j_prev = np.concatenate([np.zeros((B, 1)), j_path[:, :-1]], axis=1)
     int_jdb = np.cumsum(j_prev * dbu, axis=1)
@@ -371,128 +235,3 @@ def _lur_cusum_sup_numpy(dbe, dbu, c):
         correction - frac * correction[:, -1][:, None]
     )
     return np.abs(path).max(axis=1)
-
-
-def _lur_cusum_sup_loop(dbe, dbu, c):
-    B, n = dbe.shape
-    dt = 1.0 / n
-    decay, lam = _lur_drive_coeffs(c, dt)
-    out = np.empty(B)
-    int_jdb = np.empty(n + 1)
-    int_j = np.empty(n + 1)
-    we = np.empty(n + 1)
-    for r in range(B):
-        int_jdb[0] = 0.0
-        int_j[0] = 0.0
-        we[0] = 0.0
-        int_jsq = 0.0
-        prev = 0.0
-        for j in range(1, n + 1):
-            shock = dbu[r, j - 1]
-            int_jdb[j] = int_jdb[j - 1] + prev * shock
-            int_j[j] = int_j[j - 1] + prev * dt
-            int_jsq += prev * prev * dt
-            prev = decay * prev + lam * shock
-            we[j] = we[j - 1] + dbe[r, j - 1]
-        if int_jsq < 1e-300:
-            int_jsq = 1e-300
-        corr_full = (int_jdb[n] / int_jsq) * int_j[n]
-        w_full = we[n]
-        best = 0.0
-        for j in range(1, n + 1):
-            frac = j / n
-            corr_j = (int_jdb[j] / int_jsq) * int_j[j]
-            val = (we[j] - frac * w_full) - (corr_j - frac * corr_full)
-            a = abs(val)
-            if a > best:
-                best = a
-        out[r] = best
-    return out
-
-
-# ---------------------------------------------------------------------------
-# backend binding
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-    _ldl_loop = jit_compile(_ldl_loop)
-    _ldl_solve_loop = jit_compile(_ldl_solve_loop)
-    _matvec_loop = jit_compile(_matvec_loop)
-    _lur_drive_coeffs = jit_compile(_lur_drive_coeffs)
-    _ar1_path_nb = jit_compile(_ar1_path_loop)
-    _wald_scan_nb = jit_compile(_wald_scan_loop)
-    _bridge_sup_nb = jit_compile(_bridge_sup_loop)
-    _qp_sup_nb = jit_compile(_qp_sup_loop)
-    _lur_cusum_sup_nb = jit_compile(_lur_cusum_sup_loop)
-else:  # pragma: no cover - exercised only without numba
-    _ar1_path_nb = None
-    _wald_scan_nb = None
-    _bridge_sup_nb = None
-    _qp_sup_nb = None
-    _lur_cusum_sup_nb = None
-
-IMPLEMENTATIONS = {
-    "ar1_path": {"numpy": _ar1_path_numpy, "numba": _ar1_path_nb},
-    "wald_scan": {"numpy": _wald_scan_numpy, "numba": _wald_scan_nb},
-    "bridge_sup": {"numpy": _bridge_sup_numpy, "numba": _bridge_sup_nb},
-    "qp_sup": {"numpy": _qp_sup_numpy, "numba": _qp_sup_nb},
-    "lur_cusum_sup": {"numpy": _lur_cusum_sup_numpy, "numba": _lur_cusum_sup_nb},
-}
-
-
-def _bind(name):
-    impl = IMPLEMENTATIONS[name].get(BACKEND)
-    if impl is None:
-        impl = IMPLEMENTATIONS[name]["numpy"]
-    return impl
-
-
-def ar1_path(shocks, rho, x0=0.0):
-    """Recursion x_t = rho * x_{t-1} + shock_t started at x0; returns x_1..x_n."""
-    return _bind("ar1_path")(np.ascontiguousarray(shocks, dtype=np.float64), float(rho), float(x0))
-
-
-def wald_scan(X, y, k_lo, k_hi, sigma2, tol=GRAM_PIVOT_RTOL):
-    """Wald statistic at every candidate split k in [k_lo, k_hi].
-
-    Returns ``(values, ok)`` where ``values`` holds the statistic (NaN where a
-    regime Gram matrix was singular at the pivot tolerance) and ``ok`` flags
-    the computable entries.  Uses incremental Gram updates; values match
-    independent per-k refits to 1e-10 relative.
-    """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    return _bind("wald_scan")(X, y, int(k_lo), int(k_hi), float(sigma2), float(tol))
-
-
-def bridge_sup(z, j_lo, j_hi):
-    """Per-row sup |W(j/n) - (j/n) W(1)| over grid points j in [j_lo, j_hi].
-
-    ``z`` is a (draws, n) array of standard-normal increments.
-    """
-    z = np.ascontiguousarray(z, dtype=np.float64)
-    return _bind("bridge_sup")(z, int(j_lo), int(j_hi))
-
-
-def qp_sup(z, j_lo, j_hi):
-    """Per-row sup of the squared normalized vector bridge over grid points.
-
-    ``z`` is (draws, p, n); the statistic at grid fraction pi = j/n is
-    ||W_p(pi) - pi W_p(1)||^2 / (pi (1 - pi)), maximised over j in
-    [j_lo, j_hi] with 1 <= j_lo <= j_hi <= n - 1.
-    """
-    z = np.ascontiguousarray(z, dtype=np.float64)
-    return _bind("qp_sup")(z, int(j_lo), int(j_hi))
-
-
-def lur_cusum_sup(dbe, dbu, c):
-    """Per-row sup of the persistence-contaminated bridge functional.
-
-    ``dbe``/``dbu`` are (draws, n) Brownian increments (already scaled by
-    sqrt(dt) and carrying any cross-correlation).  The mean-reverting process
-    is driven by ``dbu`` with exact one-step decay, and all stochastic
-    integrals use left-endpoint sums.
-    """
-    dbe = np.ascontiguousarray(dbe, dtype=np.float64)
-    dbu = np.ascontiguousarray(dbu, dtype=np.float64)
-    return _bind("lur_cusum_sup")(dbe, dbu, float(c))

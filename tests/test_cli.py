@@ -178,6 +178,16 @@ def test_degenerate_sample_exits_2(tmp_path):
     assert main(["test", "--stat", "cusum", "--input", str(data)]) == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_input_exits_2_and_names_the_row(tmp_path, capfd, bad):
+    rows = [f"{t + 1},{t % 3},1" for t in range(8)]
+    rows[4] = f"5,{bad},1"
+    data = tmp_path / "bad.csv"
+    data.write_text("t,y,x1\n" + "\n".join(rows) + "\n")
+    assert main(["test", "--stat", "cusum", "--input", str(data)]) == 2
+    assert "data row 5" in capfd.readouterr().err
+
+
 def _experiment_spec(tmp_path, n_reps=100):
     spec = {
         "master_seed": 5,

@@ -132,6 +132,23 @@ def test_resolve_missing_precomputed_entry(tmp_path):
         resolve_tables(spec)  # trimming mismatch: nu 0.1 != 0.0
 
 
+def test_missing_table_level_fails_before_any_replication(tmp_path, monkeypatch):
+    from breaklab import experiments
+
+    table = tabulate("supabsbb", [0.90], 1000, n_steps=200, master_seed=1)
+    path = tmp_path / "bb.json"
+    save_table(table, path)
+    spec = _small_spec(table_source=TableSource(mode="precomputed", paths=(str(path),)))
+    generated = []
+    real_generate = experiments.dgp.generate
+    monkeypatch.setattr(
+        experiments.dgp, "generate", lambda *a: generated.append(a) or real_generate(*a)
+    )
+    with pytest.raises(TableLookupError, match="level 0.95"):
+        run_experiment(spec)
+    assert generated == []
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

@@ -1,28 +1,16 @@
-"""Kernel correctness and numba/numpy backend parity."""
+"""Kernel correctness."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from breaklab._backend import HAVE_NUMBA
 from breaklab.kernels import (
-    GRAM_PIVOT_RTOL,
-    IMPLEMENTATIONS,
     ar1_path,
     bridge_sup,
     lur_cusum_sup,
     qp_sup,
     wald_scan,
 )
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not available")
-
-
-def _both(name, *args):
-    res_np = IMPLEMENTATIONS[name]["numpy"](*args)
-    res_nb = IMPLEMENTATIONS[name]["numba"](*args)
-    return res_np, res_nb
-
 
 # ---------------------------------------------------------------------------
 # ar1_path
@@ -48,14 +36,6 @@ def test_ar1_path_matches_direct_recursion():
         prev = rho * prev + s
         expected[i] = prev
     assert_allclose(ar1_path(shocks, rho, x0), expected, rtol=1e-14)
-
-
-@needs_numba
-def test_ar1_path_backend_parity():
-    rng = np.random.default_rng(5)
-    shocks = rng.standard_normal(500)
-    out_np, out_nb = _both("ar1_path", shocks, 0.98, 0.3)
-    assert_allclose(out_np, out_nb, rtol=0, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -87,18 +67,6 @@ def test_wald_scan_matches_per_k_refits(p):
     vals, ok = wald_scan(X, y, k_lo, k_hi, sigma2)
     assert ok.all()
     assert_allclose(vals, _wald_refit(X, y, k_lo, k_hi, sigma2), rtol=1e-10)
-
-
-@needs_numba
-def test_wald_scan_backend_parity():
-    rng = np.random.default_rng(42)
-    T = 120
-    X = np.column_stack([np.ones(T), rng.standard_normal(T)])
-    y = X @ np.array([1.0, 0.5]) + rng.standard_normal(T)
-    args = (X, y, 5, T - 5, 1.3, GRAM_PIVOT_RTOL)
-    (v_np, ok_np), (v_nb, ok_nb) = _both("wald_scan", *args)
-    assert np.array_equal(ok_np, ok_nb)
-    assert_allclose(v_np, v_nb, rtol=1e-12)
 
 
 def test_wald_scan_flags_singular_regimes():
@@ -156,34 +124,6 @@ def test_qp_sup_nonnegative_and_monotone_in_p():
     # adding an independent nonnegative component shifts quantiles up
     for level in (0.5, 0.9, 0.95):
         assert np.quantile(q2, level) > np.quantile(q1, level)
-
-
-@needs_numba
-@pytest.mark.parametrize(
-    "name,maker",
-    [
-        ("bridge_sup", lambda rng: (rng.standard_normal((40, 256)), 0, 256)),
-        ("qp_sup", lambda rng: (rng.standard_normal((40, 2, 256)), 39, 217)),
-    ],
-)
-def test_sup_kernels_backend_parity(name, maker):
-    rng = np.random.default_rng(13)
-    args = maker(rng)
-    res_np, res_nb = _both(name, *args)
-    assert_allclose(res_np, res_nb, rtol=1e-12)
-
-
-@needs_numba
-def test_lur_kernel_backend_parity():
-    rng = np.random.default_rng(14)
-    n = 400
-    z = rng.standard_normal((30, 2, n))
-    sdt = np.sqrt(1.0 / n)
-    dbe = z[:, 0, :] * sdt
-    dbu = (0.5 * z[:, 0, :] + np.sqrt(0.75) * z[:, 1, :]) * sdt
-    for c in (0.0, -5.0, -200.0):
-        res_np, res_nb = _both("lur_cusum_sup", dbe, dbu, c)
-        assert_allclose(res_np, res_nb, rtol=1e-10)
 
 
 def test_lur_kernel_c_zero_reduces_toward_plain_bridge():

@@ -1,0 +1,143 @@
+"""Property tests: block evaluation, per-sample parity and the Wald identity."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from breaklab import break_tests
+from breaklab.dgp import Sample, generate, spec_from_config, spec_to_config
+from breaklab.errors import BreakLabError
+from breaklab.estimators import fit_xy, ols_fit
+from breaklab.experiments import _run_chunk
+from breaklab.kernels import wald_scan
+from breaklab.rng import replication_stream
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+STATS = (("cusum", 0.0), ("cusumsq", 0.0), ("zmean", 0.15), ("wald", 0.15))
+
+CELLS = {
+    "location": {"family": "location", "T": 40},
+    "location_break": {"family": "location", "T": 40, "s": 0.5, "beta_pre": [0.0], "beta_post": [1.0]},
+    "linear_regression": {"family": "linear_regression", "T": 40, "beta_pre": [1.0, 0.5, -0.2]},
+    "cointegration": {"family": "cointegration", "T": 40, "sigma_eps_u": 0.5},
+    "predictive_lur": {"family": "predictive_lur", "T": 40, "c": -5.0, "sigma_eps_u": -0.9},
+    "ar1": {"family": "ar1", "T": 40, "s": 0.5, "beta_pre": [0.5], "beta_post": [0.9]},
+    # explosive root: the pooled design is rank deficient, so every statistic fails
+    "explosive": {"family": "predictive_lur", "T": 500, "c": 240.0},
+}
+
+
+def _chunk(cfg, seed, lo, hi, paths_upto=0):
+    spec = spec_to_config(spec_from_config(cfg))
+    return _run_chunk((spec, list(STATS), seed, lo, hi, paths_upto))
+
+
+def _per_sample_sup(kind, sample, nu):
+    try:
+        if kind == "cusum":
+            return break_tests.cusum_path(ols_fit(sample), nu).sup_value
+        if kind == "cusumsq":
+            return break_tests.cusum_sq_path(ols_fit(sample), nu).sup_value
+        if kind == "zmean":
+            return break_tests.z_mean_path(sample, nu).sup_value
+        return break_tests.wald_path(sample, nu).sup_value
+    except BreakLabError:
+        return np.nan
+
+
+@PROPERTY
+@given(
+    cell=st.sampled_from(sorted(set(CELLS) - {"explosive"})),
+    seed=st.integers(0, 2**32 - 1),
+    cuts=st.lists(st.integers(1, 59), max_size=6),
+)
+def test_chunk_boundaries_never_change_results(cell, seed, cuts):
+    n = 60
+    _, whole, whole_paths, whole_skipped = _chunk(CELLS[cell], seed, 0, n, paths_upto=n)
+    bounds = [0] + sorted(set(cuts)) + [n]
+    parts = [_chunk(CELLS[cell], seed, lo, hi, paths_upto=n) for lo, hi in zip(bounds, bounds[1:])]
+    for kind, _ in STATS:
+        joined = np.concatenate([sups[kind] for _, sups, _, _ in parts])
+        assert np.array_equal(joined, whole[kind], equal_nan=True)
+        assert sum(skipped[kind] for *_, skipped in parts) == whole_skipped[kind]
+    joined_paths = [row for _, _, paths, _ in parts for row in paths]
+    assert len(joined_paths) == len(whole_paths)
+    for (rep_a, kind_a, ks_a, path_a), (rep_b, kind_b, ks_b, path_b) in zip(joined_paths, whole_paths):
+        assert (rep_a, kind_a) == (rep_b, kind_b)
+        assert np.array_equal(ks_a, ks_b)
+        assert np.array_equal(path_a, path_b, equal_nan=True)
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1))
+def test_engine_sups_equal_the_per_sample_functions(cell, seed):
+    n = 6 if cell == "explosive" else 24
+    _, sups, _, _ = _chunk(CELLS[cell], seed, 0, n)
+    spec = spec_from_config(CELLS[cell])
+    for rep in range(n):
+        sample = generate(spec, replication_stream(seed, rep))
+        for kind, nu in STATS:
+            want = _per_sample_sup(kind, sample, nu)
+            assert np.array_equal(sups[kind][rep], want, equal_nan=True), (kind, rep)
+    if cell == "explosive":
+        assert all(np.isnan(sups[kind]).all() for kind, _ in STATS)
+
+
+def test_block_failures_stay_in_their_row():
+    # one stack: a regular sample, one with singular early splits, a
+    # constant (degenerate) one and a rank-deficient one
+    T = 12
+    x = np.r_[np.full(6, 2.0), np.arange(1.0, 7.0)]
+    t = np.arange(T, dtype=float)
+    regular = Sample(y=np.sin(t) + 0.1 * t, X=np.column_stack([np.ones(T), np.cos(t)]))
+    collinear = Sample(y=t + (t >= 6), X=np.column_stack([np.ones(T), x]))
+    flat = Sample(y=np.full(T, 3.0), X=np.column_stack([np.ones(T), x]))
+    deficient = Sample(y=t**2, X=np.column_stack([np.ones(T), np.ones(T)]))
+    stack = [regular, collinear, flat, deficient]
+    fit = fit_xy(np.stack([s.X for s in stack]), np.stack([s.y for s in stack]))
+    assert fit.full_rank.tolist() == [True, True, True, False]
+    for kind, _ in STATS:
+        out = break_tests.evaluate_block(kind, fit, 0.0)
+        for row, sample in enumerate(stack):
+            want = _per_sample_sup(kind, sample, 0.0)
+            assert np.array_equal(out.sup_value[row], want, equal_nan=True), (kind, row)
+    wald = break_tests.evaluate_block("wald", fit, 0.0)
+    assert wald.skipped.tolist() == [0, 5, 0, 0]
+    assert np.array_equal(wald.path[1], break_tests.wald_path(collinear, 0.0).path, equal_nan=True)
+    assert np.isnan(wald.path[2:]).all() and wald.argmax_k[2:].tolist() == [-1, -1]
+
+
+def _wald_by_refits(X, y, k_lo, k_hi, sigma2):
+    """W(k) from separate regime estimates and the textbook middle matrix."""
+    vals = []
+    for k in range(k_lo, k_hi + 1):
+        g1, g2 = X[:k].T @ X[:k], X[k:].T @ X[k:]
+        d = np.linalg.solve(g1, X[:k].T @ y[:k]) - np.linalg.solve(g2, X[k:].T @ y[k:])
+        middle = np.linalg.inv(np.linalg.inv(g1) + np.linalg.inv(g2))
+        vals.append(d @ middle @ d / sigma2)
+    return np.array(vals)
+
+
+@PROPERTY
+@given(
+    p=st.sampled_from([1, 2, 3]),
+    T=st.integers(12, 90),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_wald_identity_matches_per_k_refits(p, T, seed, scale):
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(T)] + [rng.standard_normal(T) for _ in range(p - 1)])
+    y = scale * (X @ rng.standard_normal(p) + rng.standard_normal(T))
+    fit = fit_xy(X, y)
+    k_lo, k_hi = break_tests.scan_range(T, p, 0.1)
+    want = _wald_by_refits(X, y, k_lo, k_hi, fit.sigma_hat_sq)
+    for response in (y, fit.residuals):
+        vals, ok = wald_scan(X, response, k_lo, k_hi, fit.sigma_hat_sq)
+        assert ok.all()
+        np.testing.assert_allclose(vals, want, rtol=1e-9)
+    stacked, _ = wald_scan(np.stack([X, X]), np.stack([y, fit.residuals]), k_lo, k_hi, fit.sigma_hat_sq)
+    np.testing.assert_allclose(stacked, np.stack([want, want]), rtol=1e-9)
