@@ -6,6 +6,7 @@ from .break_tests import (
     cusum_path,
     cusum_sq_path,
     decide,
+    register_statistic,
     scan_range,
     wald_path,
     z_mean_path,
@@ -47,7 +48,6 @@ from .experiments import (
     McReport,
     McRow,
     TableSource,
-    register_statistic,
     run_experiment,
     size_distortion_study,
 )

@@ -9,11 +9,13 @@ scanned, never the value at a given k.
 import logging
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import kernels
 from .errors import (
+    BreakLabError,
     DegenerateSampleError,
     NumericalError,
     SpecError,
@@ -23,22 +25,8 @@ from .estimators import ols_fit
 
 log = logging.getLogger(__name__)
 
-STAT_KINDS = ("cusum", "cusumsq", "zmean", "wald")
-
 TWO_SIDED_ABS = "two_sided_abs"
 SIGNED = "signed"
-
-#: default trimming per statistic: the residual-based statistics scan the
-#: whole sample, the coefficient-based ones keep the split off the boundary
-DEFAULT_NU = {"cusum": 0.0, "cusumsq": 0.0, "zmean": 0.15, "wald": 0.15}
-
-#: limit-functional table kinds each statistic may be decided against
-COMPATIBLE_TABLE_KINDS = {
-    "cusum": ("supabsbb", "supabslurcusum"),
-    "cusumsq": ("supabsbb",),
-    "zmean": ("supqp",),
-    "wald": ("supqp",),
-}
 
 #: what the Wald scan does at a split with a singular regime fit
 ON_SINGULAR_SKIP = "skip"
@@ -54,10 +42,9 @@ class TestOutcome:
     """Statistic path over candidate break indices plus its supremum.
 
     ``p`` is the dimension of the limit functional the statistic converges
-    to (1 for the residual-based statistics, the design dimension for the
-    coefficient-stability Wald statistic); critical-value tables must match
-    it.  ``skipped`` lists candidate indices where no statistic was
-    computable (singular regime fit).
+    to (``limit_dim`` of its :data:`STAT_RECIPES` entry); critical-value
+    tables must match it.  ``skipped`` lists candidate indices where no
+    statistic was computable (singular regime fit).
 
     An outcome computed from a fit of stacked samples holds one row per
     replication: ``path`` is (R, m), ``sup_value`` and ``argmax_k`` are
@@ -146,7 +133,8 @@ def _sup_over_path(path, sided):
     return np.where(missing.all(axis=-1), np.nan, sup), best
 
 
-def _finish(kind, ks, path, nu, p, sided, valid=True, skipped=()):
+def _finish(kind, ks, path, nu, design_dim, sided, valid=True, skipped=()):
+    p = STAT_RECIPES[kind].limit_dim(design_dim)
     if path.ndim == 2:
         path = np.where(valid[:, None], path, np.nan)
         sup, best = _sup_over_path(path, sided)
@@ -186,7 +174,7 @@ def _bridge_centered(values, k_lo, k_hi):
     return ks, sums[..., ks - 1] - (ks / T) * sums[..., -1:]
 
 
-def cusum_path(fit, nu=0.0, sided=TWO_SIDED_ABS):
+def cusum_path(fit, nu=None, sided=TWO_SIDED_ABS):
     """Bridge-centered, variance-normalized residual partial-sum path.
 
     Parameters
@@ -194,20 +182,21 @@ def cusum_path(fit, nu=0.0, sided=TWO_SIDED_ABS):
     fit : OlsFit
         Full-sample fit whose residuals drive the statistic, of one sample
         or of stacked samples.
-    nu : float
-        Trimming fraction; the default scans every feasible index.
+    nu : float or None
+        Trimming fraction; None (default) takes the statistic's default.
     sided : str
         ``two_sided_abs`` (default) takes the sup of |path|; ``signed``
         takes the sup of the path itself.
     """
     valid = _usable(fit)
     T = fit.n_obs
+    nu = STAT_RECIPES["cusum"].default_nu if nu is None else nu
     ks, centered = _bridge_centered(fit.residuals, *scan_range(T, fit.p, nu))
     scale = np.sqrt(fit.sigma_hat_sq) * math.sqrt(T)
-    return _finish("cusum", ks, centered / np.expand_dims(scale, -1), nu, 1, sided, valid)
+    return _finish("cusum", ks, centered / np.expand_dims(scale, -1), nu, fit.p, sided, valid)
 
 
-def cusum_sq_path(fit, nu=0.0, normalization=CUSUMSQ_NORM_SQ_SD, sided=TWO_SIDED_ABS):
+def cusum_sq_path(fit, nu=None, normalization=CUSUMSQ_NORM_SQ_SD, sided=TWO_SIDED_ABS):
     """Bridge-centered path of squared residuals.
 
     The default normalization divides by the standard deviation of the
@@ -219,6 +208,7 @@ def cusum_sq_path(fit, nu=0.0, normalization=CUSUMSQ_NORM_SQ_SD, sided=TWO_SIDED
     valid = _usable(fit)
     T = fit.n_obs
     sq = fit.residuals**2
+    nu = STAT_RECIPES["cusumsq"].default_nu if nu is None else nu
     ks, centered = _bridge_centered(sq, *scan_range(T, fit.p, nu))
     if normalization == CUSUMSQ_NORM_SQ_SD:
         spread = np.mean((sq - np.mean(sq, axis=-1, keepdims=True)) ** 2, axis=-1)
@@ -230,7 +220,7 @@ def cusum_sq_path(fit, nu=0.0, normalization=CUSUMSQ_NORM_SQ_SD, sided=TWO_SIDED
     # constant squared residuals: exactly centered path, no evidence
     with np.errstate(divide="ignore", invalid="ignore"):
         path = np.where(scale == 0.0, 0.0, centered / scale)
-    return _finish("cusumsq", ks, path, nu, 1, sided, valid)
+    return _finish("cusumsq", ks, path, nu, fit.p, sided, valid)
 
 
 def _is_intercept_only(X):
@@ -248,12 +238,12 @@ def _wald_outcome(kind, fit, nu, on_singular=ON_SINGULAR_SKIP):
     """Wald (or, on the intercept-only design, zmean) outcome of a pooled fit."""
     valid = _usable(fit)
     T, p = fit.design.shape[-2:]
+    nu = STAT_RECIPES[kind].default_nu if nu is None else nu
     k_lo, k_hi = scan_range(T, p, nu)
     vals, ok = kernels.wald_scan(
         fit.design, fit.residuals, k_lo, k_hi, fit.sigma_hat_sq, kernels.GRAM_PIVOT_RTOL
     )
     ks = np.arange(k_lo, k_hi + 1)
-    p = 1 if kind == "zmean" else p
     if vals.ndim == 2:
         if kind == "zmean":
             valid = valid & _is_intercept_only(fit.design)
@@ -272,7 +262,7 @@ def _wald_outcome(kind, fit, nu, on_singular=ON_SINGULAR_SKIP):
     return _finish(kind, ks, vals, nu, p, SIGNED, skipped=skipped)
 
 
-def z_mean_path(sample, nu=0.15):
+def z_mean_path(sample, nu=None):
     """Squared standardized difference of regime means, already scaled by T.
 
     Defined for the intercept-only model, where it is the Wald statistic of
@@ -282,7 +272,7 @@ def z_mean_path(sample, nu=0.15):
     return _wald_outcome("zmean", ols_fit(sample), nu)
 
 
-def wald_path(sample, nu=0.15, on_singular=ON_SINGULAR_SKIP):
+def wald_path(sample, nu=None, on_singular=ON_SINGULAR_SKIP):
     """Coefficient-stability Wald statistic at every candidate split.
 
     W(k) contrasts the two regime estimates through the pooled residual
@@ -309,6 +299,74 @@ def evaluate_block(kind, fit, nu):
     raise SpecError(f"unknown statistic kind {kind!r}")
 
 
+# ---------------------------------------------------------------------------
+# statistic registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class StatRecipe:
+    """How the engine computes one statistic kind and how it is tested.
+
+    ``compute(block, nu)`` evaluates a block of replications (with ``fit``,
+    ``samples`` and ``caches``): the sup per replication (NaN where it
+    failed), per replication ``(ks, path)`` or None, and the number of
+    skipped Wald splits.  ``table_kinds`` may calibrate it (the engine uses
+    the first; none means a critical value of 0), at the dimension
+    ``limit_dim(design_dim)`` and, by default, the trimming ``default_nu``.
+    """
+
+    compute: object
+    table_kinds: tuple = ()
+    limit_dim: object = lambda design_dim: 1
+    default_nu: float = 0.0
+
+
+def _on_fit(kind, block, nu):
+    """Block compute of a built-in statistic: one evaluation on the stacked pooled fits."""
+    out = evaluate_block(kind, block.fit, nu)
+    rows = [None if np.isnan(sup) else (out.ks, path) for sup, path in zip(out.sup_value, out.path)]
+    return out.sup_value, rows, int(np.sum(out.skipped))
+
+
+def _per_sample(compute):
+    """Block form of ``compute(sample, nu, cache)``, which returns an outcome
+    with ``sup_value``, ``ks`` and ``path`` or raises for that sample."""
+
+    def block_compute(block, nu):
+        sups = np.full(len(block), np.nan)
+        rows = [None] * len(block)
+        for i, (sample, cache) in enumerate(zip(block.samples, block.caches)):
+            try:
+                outcome = compute(sample, nu, cache)
+            except BreakLabError:
+                continue
+            sups[i] = outcome.sup_value
+            rows[i] = (outcome.ks, outcome.path)
+        return sups, rows, 0
+
+    return block_compute
+
+
+#: statistic kind -> recipe: the CUSUMs converge to sup |Brownian bridge| over the
+#: whole sample, the Wald types to the trimmed sup of a squared bridge of the design's dimension
+STAT_RECIPES = {
+    "cusum": StatRecipe(partial(_on_fit, "cusum"), ("supabsbb", "supabslurcusum")),
+    "cusumsq": StatRecipe(partial(_on_fit, "cusumsq"), ("supabsbb",)),
+    "zmean": StatRecipe(partial(_on_fit, "zmean"), ("supqp",), default_nu=0.15),
+    "wald": StatRecipe(partial(_on_fit, "wald"), ("supqp",), lambda design_dim: design_dim, 0.15),
+}
+
+
+def register_statistic(kind, compute):
+    """Register an additional statistic kind (used by harness self-tests).
+
+    ``compute(sample, nu, cache)`` is called once per replication; ``cache``
+    is a dict shared by the statistics of that replication.  The kind is
+    decided at a critical value of 0, with limit dimension 1 and trimming 0.
+    """
+    STAT_RECIPES[kind] = StatRecipe(_per_sample(compute))
+
+
 def decide(outcome, table, level):
     """Attach the critical value at significance ``level`` and the decision.
 
@@ -319,9 +377,9 @@ def decide(outcome, table, level):
     """
     if not 0.0 < level < 1.0:
         raise SpecError(f"significance level must lie in (0, 1), got {level}")
-    allowed = COMPATIBLE_TABLE_KINDS.get(outcome.statistic_kind)
-    if allowed is None:
+    if outcome.statistic_kind not in STAT_RECIPES:
         raise SpecError(f"unknown statistic kind {outcome.statistic_kind!r}")
+    allowed = STAT_RECIPES[outcome.statistic_kind].table_kinds
     if table.functional_kind not in allowed:
         raise TableLookupError(
             f"table kind {table.functional_kind!r} cannot calibrate statistic "

@@ -79,7 +79,7 @@ def build_parser():
         help="compute one break statistic on a CSV sample",
         description="Run a break-point test and emit the outcome as JSON.",
     )
-    tst.add_argument("--stat", required=True, choices=break_tests.STAT_KINDS)
+    tst.add_argument("--stat", required=True, choices=tuple(break_tests.STAT_RECIPES))
     tst.add_argument("--input", required=True, help="sample CSV (header t,y,x1,...,xp)")
     tst.add_argument("--nu", type=float, help="trimming fraction (default depends on the statistic)")
     tst.add_argument("--level", type=float, default=0.05, help="significance level for the decision")
@@ -107,7 +107,7 @@ def build_parser():
     )
     cvs.add_argument("--kind", required=True, choices=limit_lab.FUNCTIONAL_KINDS)
     cvs.add_argument("--p", type=int, default=1, help="dimension of the functional")
-    cvs.add_argument("--nu", type=float, help="trimming (default 0, or 0.15 for supqp)")
+    cvs.add_argument("--nu", type=float, help="trimming (default: that of the statistics it calibrates)")
     cvs.add_argument("--c", type=float, help="persistence parameter (supabslurcusum)")
     cvs.add_argument("--corr", type=float, help="innovation correlation (supabslurcusum)")
     cvs.add_argument("--reps", type=int, default=100000, help="number of draws (>= 1000)")
@@ -142,11 +142,14 @@ def build_parser():
 def _load_json(path, what):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except FileNotFoundError as exc:
         raise DataError(f"{what} file does not exist: {path}") from exc
     except ValueError as exc:
         raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise SpecError(f"{path}: the {what} must be a JSON object, got {type(payload).__name__}")
+    return payload
 
 
 def _write_provenance(out_path, payload):
@@ -183,11 +186,6 @@ def _merged_dgp_config(args):
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = value
-    # single-coefficient convenience: a given side defaults to the other
-    if "beta_pre" in cfg and "beta_post" not in cfg:
-        cfg["beta_post"] = cfg["beta_pre"]
-    if "beta_post" in cfg and "beta_pre" not in cfg:
-        cfg["beta_pre"] = cfg["beta_post"]
     return cfg
 
 
@@ -213,14 +211,13 @@ def cmd_simulate(args):
 
 
 def _run_statistic(args, sample):
-    nu = args.nu if args.nu is not None else break_tests.DEFAULT_NU[args.stat]
-    if args.stat == "cusum":
-        return break_tests.cusum_path(ols_fit(sample), nu)
+    if args.stat == "cusum":  # a --nu of None is the statistic's default trimming
+        return break_tests.cusum_path(ols_fit(sample), args.nu)
     if args.stat == "cusumsq":
-        return break_tests.cusum_sq_path(ols_fit(sample), nu, normalization=args.cusumsq_norm)
+        return break_tests.cusum_sq_path(ols_fit(sample), args.nu, normalization=args.cusumsq_norm)
     if args.stat == "zmean":
-        return break_tests.z_mean_path(sample, nu)
-    return break_tests.wald_path(sample, nu, on_singular=args.on_singular)
+        return break_tests.z_mean_path(sample, args.nu)
+    return break_tests.wald_path(sample, args.nu, on_singular=args.on_singular)
 
 
 def cmd_test(args):
@@ -271,7 +268,8 @@ def cmd_test(args):
 def cmd_critvals(args):
     nu = args.nu
     if nu is None:
-        nu = 0.15 if args.kind == "supqp" else 0.0
+        recipes = break_tests.STAT_RECIPES.values()
+        nu = next((r.default_nu for r in recipes if args.kind in r.table_kinds), 0.0)
     table = limit_lab.tabulate(
         args.kind,
         levels=args.levels,

@@ -21,6 +21,7 @@ import numpy as np
 from . import kernels
 from .errors import DataError, SpecError
 from .rng import InnovCov, draw_gaussian_pairs
+from .schema import typed
 
 FAMILIES = ("location", "linear_regression", "cointegration", "predictive_lur", "ar1")
 
@@ -304,6 +305,12 @@ def spec_from_config(cfg):
     coefficients may be omitted, in which case both default to the root
     ``1 + c/T``.
     """
+    if not isinstance(cfg, dict):
+        raise SpecError(f"DGP config must be a JSON object, got {cfg!r}")
+
+    def number(key, default):
+        return typed(float, cfg.get(key, default), f"config key {key!r}", SpecError)
+
     unknown = sorted(set(cfg) - set(_CONFIG_KEYS))
     if unknown:
         raise SpecError(f"unknown config key(s): {', '.join(unknown)}")
@@ -317,7 +324,7 @@ def spec_from_config(cfg):
         raise SpecError(f"config key 'T' must be an integer, got {T!r}")
     beta_pre = _as_coef_tuple(cfg.get("beta_pre"), "beta_pre")
     beta_post = _as_coef_tuple(cfg.get("beta_post"), "beta_post")
-    c = float(cfg.get("c", 0.0))
+    c = number("c", 0.0)
     if beta_pre is None and beta_post is None and family == "ar1":
         root = 1.0 + c / T
         beta_pre = beta_post = (root,)
@@ -326,20 +333,20 @@ def spec_from_config(cfg):
     if beta_post is None:
         beta_post = beta_pre
     cov = InnovCov(
-        sigma_eps_sq=float(cfg.get("sigma_eps_sq", 1.0)),
-        sigma_u_sq=float(cfg.get("sigma_u_sq", 1.0)),
-        sigma_eps_u=float(cfg.get("sigma_eps_u", 0.0)),
+        sigma_eps_sq=number("sigma_eps_sq", 1.0),
+        sigma_u_sq=number("sigma_u_sq", 1.0),
+        sigma_eps_u=number("sigma_eps_u", 0.0),
     )
     return DgpSpec(
         family=family,
         T=int(T),
-        s=float(cfg.get("s", 0.0)),
+        s=number("s", 0.0),
         params_pre=beta_pre,
         params_post=beta_post,
         cov=cov,
         persistence_c=c,
-        intercept=float(cfg.get("mu", 0.0)),
-        x0=float(cfg.get("x0", 0.0)),
+        intercept=number("mu", 0.0),
+        x0=number("x0", 0.0),
     )
 
 

@@ -3,10 +3,11 @@
 Replication r of every cell draws from the stream (master_seed, r), so a
 report is a pure function of its spec: reruns with any worker count produce
 byte-identical results.  Replications are processed in fixed-size chunks;
-with ``workers > 1`` the chunks go through a process pool, and results are
-merged back in replication order before any aggregate is computed.  Inside
-a chunk, replications are generated in small blocks: each replication gets
-one pooled fit, and each statistic is evaluated once per block on the
+the chunks of all cells go through one map, over a process pool when
+``workers > 1``, so no worker waits at a cell boundary.  Results come back in
+payload order and each cell is aggregated as soon as its chunks are in.
+Inside a chunk, replications are generated in small blocks: each replication
+gets one pooled fit, and each statistic is evaluated once per block on the
 stacked fits.
 """
 
@@ -14,14 +15,16 @@ import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
-from . import break_tests, dgp, limit_lab
+from . import dgp, limit_lab
+from .break_tests import STAT_RECIPES, register_statistic  # noqa: F401  (re-exported)
 from .errors import BreakLabError, SpecError, TableLookupError
 from .estimators import ols_fit
 from .rng import DEFAULT_MASTER_SEED, InnovCov, replication_stream
-from .schema import SCHEMA_VERSION, jsonable
+from .schema import SCHEMA_VERSION, jsonable, typed
 
 log = logging.getLogger(__name__)
 
@@ -46,101 +49,6 @@ REPORT_COLUMNS = (
 )
 
 PATHS_COLUMNS = ("family", "T", "s", "c", "corr", "stat", "rep", "k", "value")
-
-
-# ---------------------------------------------------------------------------
-# statistic registry
-# ---------------------------------------------------------------------------
-
-class SampleBlock:
-    """Samples of consecutive replications of one cell, stacked.
-
-    ``X`` is (R, T, p) and ``y`` (R, T).  The pooled fit of every sample is
-    computed once, on first use, and shared by all statistics.
-    """
-
-    def __init__(self, samples):
-        self.samples = samples
-        self.X = np.stack([s.X for s in samples])
-        self.y = np.stack([s.y for s in samples])
-        self.caches = [{} for _ in samples]
-
-    def __len__(self):
-        return len(self.samples)
-
-    @cached_property
-    def fit(self):
-        # a rank-deficient row holds no estimate and may overflow; it is discarded
-        with np.errstate(over="ignore", invalid="ignore"):
-            return ols_fit(self)
-
-
-def _builtin(kind):
-    def compute(block, nu):
-        out = break_tests.evaluate_block(kind, block.fit, nu)
-        rows = [None if np.isnan(sup) else (out.ks, path) for sup, path in zip(out.sup_value, out.path)]
-        return out.sup_value, rows, int(np.sum(out.skipped))
-
-    return compute
-
-
-def _per_sample(compute):
-    """Block form of ``compute(sample, nu, cache)``, which returns an outcome
-    with ``sup_value``, ``ks`` and ``path`` or raises for that sample."""
-
-    def block_compute(block, nu):
-        sups = np.full(len(block), np.nan)
-        rows = [None] * len(block)
-        for i, (sample, cache) in enumerate(zip(block.samples, block.caches)):
-            try:
-                outcome = compute(sample, nu, cache)
-            except BreakLabError:
-                continue
-            sups[i] = outcome.sup_value
-            rows[i] = (outcome.ks, outcome.path)
-        return sups, rows, 0
-
-    return block_compute
-
-
-@dataclass(frozen=True)
-class StatRecipe:
-    """How the engine runs one statistic kind.
-
-    ``compute(block, nu)`` evaluates a :class:`SampleBlock` and returns the
-    sup per replication (NaN where it failed), per replication the
-    ``(ks, path)`` pair or None, and the number of skipped Wald splits.
-    ``table_kind`` names the limit functional whose quantiles calibrate the
-    test (None means a fixed critical value of 0, used by harness stubs);
-    ``limit_dim`` maps the sample design dimension to the table dimension.
-    """
-
-    compute: object
-    table_kind: str | None
-    limit_dim: object
-    default_nu: float
-
-
-STAT_RECIPES = {
-    "cusum": StatRecipe(_builtin("cusum"), "supabsbb", lambda d: 1, 0.0),
-    "cusumsq": StatRecipe(_builtin("cusumsq"), "supabsbb", lambda d: 1, 0.0),
-    "zmean": StatRecipe(_builtin("zmean"), "supqp", lambda d: 1, 0.15),
-    "wald": StatRecipe(_builtin("wald"), "supqp", lambda d: d, 0.15),
-}
-
-
-def register_statistic(kind, compute, table_kind=None, limit_dim=None, default_nu=0.0):
-    """Register an additional statistic kind (used by harness self-tests).
-
-    ``compute(sample, nu, cache)`` is called once per replication; ``cache``
-    is a dict shared by the statistics of that replication.
-    """
-    STAT_RECIPES[kind] = StatRecipe(
-        compute=_per_sample(compute),
-        table_kind=table_kind,
-        limit_dim=limit_dim or (lambda d: 1),
-        default_nu=default_nu,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +105,13 @@ class ExperimentSpec:
     def nu_for(self, kind):
         return STAT_RECIPES[kind].default_nu if self.nu is None else float(self.nu)
 
+    def table_key(self, kind, dspec):
+        """(table_kind, p, nu) calibrating ``kind`` on ``dspec``; None for a critical value of 0."""
+        recipe = STAT_RECIPES[kind]
+        if recipe.table_kinds:
+            return (recipe.table_kinds[0], recipe.limit_dim(dspec.design_dim), self.nu_for(kind))
+        return None
+
 
 def experiment_to_config(spec):
     ts = spec.table_source
@@ -217,36 +132,39 @@ def experiment_to_config(spec):
     }
 
 
+def _field(cfg, key, convert, default, where="experiment config"):
+    return typed(convert, cfg.get(key, default), f"{where} key {key!r}", SpecError)
+
+
 def experiment_from_config(cfg):
+    if not isinstance(cfg, dict):
+        raise SpecError(f"experiment config must be a JSON object, got {type(cfg).__name__}")
     known = {"master_seed", "n_reps", "level", "nu", "stat_kinds", "table_source", "dgp_grid"}
     unknown = sorted(set(cfg) - known)
     if unknown:
         raise SpecError(f"unknown experiment config key(s): {', '.join(unknown)}")
-    if "dgp_grid" not in cfg:
-        raise SpecError("experiment config is missing required key 'dgp_grid'")
-    if "stat_kinds" not in cfg:
-        raise SpecError("experiment config is missing required key 'stat_kinds'")
+    for key in ("dgp_grid", "stat_kinds"):
+        if key not in cfg:
+            raise SpecError(f"experiment config is missing required key {key!r}")
+        if not isinstance(cfg[key], (list, tuple)):
+            raise SpecError(f"experiment config key {key!r} must be a list, got {cfg[key]!r}")
     source_cfg = cfg.get("table_source", {"mode": "inline"})
-    mode = source_cfg.get("mode")
-    if mode == "precomputed":
-        table_source = TableSource(mode=mode, paths=tuple(source_cfg.get("paths", ())))
-    elif mode == "inline":
-        table_source = TableSource(
-            mode=mode,
-            n_reps=int(source_cfg.get("n_reps", 20000)),
-            n_steps=int(source_cfg.get("n_steps", limit_lab.DEFAULT_N_STEPS)),
-        )
-    else:
-        raise SpecError(f"table_source mode must be 'precomputed' or 'inline', got {mode!r}")
-    nu = cfg.get("nu")
+    if not isinstance(source_cfg, dict):
+        raise SpecError(f"experiment config key 'table_source' must be an object, got {source_cfg!r}")
+    table_source = TableSource(
+        mode=source_cfg.get("mode"),
+        paths=tuple(source_cfg.get("paths", ())),
+        n_reps=_field(source_cfg, "n_reps", int, TableSource.n_reps, "table_source"),
+        n_steps=_field(source_cfg, "n_steps", int, TableSource.n_steps, "table_source"),
+    )
     return ExperimentSpec(
         dgp_grid=tuple(dgp.spec_from_config(d) for d in cfg["dgp_grid"]),
         stat_kinds=tuple(cfg["stat_kinds"]),
-        nu=None if nu is None else float(nu),
-        level=float(cfg.get("level", 0.05)),
-        n_reps=int(cfg.get("n_reps", 1000)),
+        nu=None if cfg.get("nu") is None else _field(cfg, "nu", float, None),
+        level=_field(cfg, "level", float, 0.05),
+        n_reps=_field(cfg, "n_reps", int, 1000),
         table_source=table_source,
-        master_seed=int(cfg.get("master_seed", DEFAULT_MASTER_SEED)),
+        master_seed=_field(cfg, "master_seed", int, DEFAULT_MASTER_SEED),
     )
 
 
@@ -256,14 +174,8 @@ def experiment_from_config(cfg):
 
 def required_table_keys(spec):
     """(table_kind, p, nu) triples the experiment needs."""
-    keys = set()
-    for d in spec.dgp_grid:
-        for kind in spec.stat_kinds:
-            recipe = STAT_RECIPES[kind]
-            if recipe.table_kind is None:
-                continue
-            keys.add((recipe.table_kind, recipe.limit_dim(d.design_dim), spec.nu_for(kind)))
-    return keys
+    keys = {spec.table_key(kind, d) for d in spec.dgp_grid for kind in spec.stat_kinds}
+    return keys - {None}
 
 
 def resolve_tables(spec):
@@ -310,6 +222,29 @@ def resolve_tables(spec):
 # ---------------------------------------------------------------------------
 # replication engine
 # ---------------------------------------------------------------------------
+
+class SampleBlock:
+    """Samples of consecutive replications of one cell, stacked.
+
+    ``X`` is (R, T, p) and ``y`` (R, T).  The pooled fit of every sample is
+    computed once, on first use, and shared by all statistics.
+    """
+
+    def __init__(self, samples):
+        self.samples = samples
+        self.X = np.stack([s.X for s in samples])
+        self.y = np.stack([s.y for s in samples])
+        self.caches = [{} for _ in samples]
+
+    def __len__(self):
+        return len(self.samples)
+
+    @cached_property
+    def fit(self):
+        # a rank-deficient row holds no estimate and may overflow; it is discarded
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ols_fit(self)
+
 
 #: working-set budget of one block's per-split arrays (cumulative Gram,
 #: regime factors and partial sums of every stacked replication)
@@ -448,29 +383,21 @@ def run_experiment(spec, workers=1, paths_sample=0):
     tables = resolve_tables(spec)
     rows = []
     all_paths = []
+    stat_items = [(kind, spec.nu_for(kind)) for kind in spec.stat_kinds]
+    starts = range(0, spec.n_reps, CHUNK_SIZE)
+    payloads = [
+        (dgp.spec_to_config(d), stat_items, spec.master_seed, lo, min(lo + CHUNK_SIZE, spec.n_reps), paths_sample)
+        for d in spec.dgp_grid
+        for lo in starts
+    ]
     executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
+        # one map over every cell's chunks, in order: no worker waits at a cell boundary
+        results = (map if executor is None else executor.map)(_run_chunk, payloads)
         for dspec in spec.dgp_grid:
-            stat_items = [(kind, spec.nu_for(kind)) for kind in spec.stat_kinds]
-            payloads = [
-                (
-                    dgp.spec_to_config(dspec),
-                    stat_items,
-                    spec.master_seed,
-                    lo,
-                    min(lo + CHUNK_SIZE, spec.n_reps),
-                    paths_sample,
-                )
-                for lo in range(0, spec.n_reps, CHUNK_SIZE)
-            ]
-            if executor is None:
-                results = [_run_chunk(p) for p in payloads]
-            else:
-                results = list(executor.map(_run_chunk, payloads))
-            results.sort(key=lambda item: item[0])
             sups = {kind: np.empty(spec.n_reps) for kind in spec.stat_kinds}
             skipped = dict.fromkeys(spec.stat_kinds, 0)
-            for rep_lo, chunk_sups, chunk_paths, chunk_skipped in results:
+            for rep_lo, chunk_sups, chunk_paths, chunk_skipped in islice(results, len(starts)):
                 for kind, values in chunk_sups.items():
                     sups[kind][rep_lo : rep_lo + values.shape[0]] = values
                     skipped[kind] += chunk_skipped[kind]
@@ -490,16 +417,12 @@ def run_experiment(spec, workers=1, paths_sample=0):
                 ),
             )
             for kind, nu in stat_items:
-                recipe = STAT_RECIPES[kind]
-                if recipe.table_kind is None:
-                    cv = 0.0
-                else:
-                    key = (recipe.table_kind, recipe.limit_dim(dspec.design_dim), nu)
-                    cv = tables[key].lookup(1.0 - spec.level)
+                key = spec.table_key(kind, dspec)
+                cv = 0.0 if key is None else tables[key].lookup(1.0 - spec.level)
                 rows.append(_aggregate(kind, nu, sups[kind], cv, dspec, spec))
     finally:
         if executor is not None:
-            executor.shutdown()
+            executor.shutdown(cancel_futures=True)
     # deliberately excludes the worker count: scheduling must never show up
     # in any output, so reruns are byte-identical at any parallelism
     provenance = {

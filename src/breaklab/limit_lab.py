@@ -25,7 +25,7 @@ import numpy as np
 from . import kernels
 from .errors import DataError, SpecError, TableLookupError
 from .rng import DEFAULT_MASTER_SEED, limit_draw_stream
-from .schema import SCHEMA_VERSION, jsonable
+from .schema import SCHEMA_VERSION, jsonable, typed
 
 FUNCTIONAL_KINDS = ("supabsbb", "supqp", "supabslurcusum", "cvmp1trace")
 
@@ -351,19 +351,24 @@ def table_to_json_dict(table):
 
 
 def table_from_json_dict(payload):
+    if not isinstance(payload, dict):
+        raise DataError(f"critical-value table must be a JSON object, got {type(payload).__name__}")
+
+    def field(convert, value, name):
+        return typed(convert, value, f"critical-value table field {name!r}", DataError)
+
     try:
-        quantiles = {float(lv): float(v) for lv, v in payload["levels"].items()}
         return CriticalValueTable(
             functional_kind=payload["kind"],
-            p=int(payload["p"]),
-            nu=float(payload["nu"]),
-            c=None if payload.get("c") is None else float(payload["c"]),
-            corr=None if payload.get("corr") is None else float(payload["corr"]),
-            quantiles=quantiles,
+            p=field(int, payload["p"], "p"),
+            nu=field(float, payload["nu"], "nu"),
+            c=None if payload.get("c") is None else field(float, payload["c"], "c"),
+            corr=None if payload.get("corr") is None else field(float, payload["corr"], "corr"),
+            quantiles={field(float, lv, "levels"): field(float, v, "levels") for lv, v in payload["levels"].items()},
             meta={
-                "n_steps": int(payload["meta"]["n_steps"]),
-                "n_reps": int(payload["meta"]["n_reps"]),
-                "master_seed": int(payload["meta"]["seed"]),
+                "n_steps": field(int, payload["meta"]["n_steps"], "meta.n_steps"),
+                "n_reps": field(int, payload["meta"]["n_reps"], "meta.n_reps"),
+                "master_seed": field(int, payload["meta"]["seed"], "meta.seed"),
             },
         )
     except KeyError as exc:

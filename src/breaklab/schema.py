@@ -1,4 +1,4 @@
-"""Output schema versioning and JSON helpers."""
+"""Output schema versioning, JSON helpers and typed config fields."""
 
 import numpy as np
 
@@ -21,3 +21,12 @@ def jsonable(obj):
     if isinstance(obj, np.floating):
         return float(obj)
     return obj
+
+
+def typed(convert, value, name, error):
+    """``convert(value)``; a value of the wrong type raises ``error`` naming ``name``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        what = "an integer" if convert is int else "a number"
+        raise error(f"{name} must be {what}, got {value!r}") from exc

@@ -242,3 +242,58 @@ def test_experiment_paths_sample(tmp_path):
     lines = (tmp_path / "report.csv.paths.csv").read_text().strip().splitlines()
     assert lines[0] == "family,T,s,c,corr,stat,rep,k,value"
     assert len(lines) == 1 + 2 * 49  # k runs 1..49 for T = 50
+
+
+_SPEC = {
+    "n_reps": 100,
+    "stat_kinds": ["cusum"],
+    "table_source": {"mode": "inline", "n_reps": 1000, "n_steps": 50},
+    "dgp_grid": [{"family": "location", "T": 30}],
+}
+_DGP = {"family": "location", "T": 30}
+_TABLE = {
+    "schema_version": "1",
+    "kind": "supabsbb",
+    "p": 1,
+    "nu": 0.0,
+    "c": None,
+    "corr": None,
+    "levels": {"0.95": 1.36},
+    "meta": {"n_steps": 50, "n_reps": 1000, "seed": 1},
+}
+
+
+@pytest.mark.parametrize(
+    "what,payload,named",
+    [
+        ("spec", {**_SPEC, "n_reps": "many"}, "'n_reps'"),
+        ("spec", {**_SPEC, "level": "five"}, "'level'"),
+        ("spec", {**_SPEC, "nu": "x"}, "'nu'"),
+        ("spec", {**_SPEC, "master_seed": "abc"}, "'master_seed'"),
+        ("spec", {**_SPEC, "table_source": "inline"}, "'table_source'"),
+        ("spec", {**_SPEC, "dgp_grid": [5]}, "DGP config"),
+        ("spec", {**_SPEC, "dgp_grid": 5}, "'dgp_grid'"),
+        ("spec", {**_SPEC, "dgp_grid": [{**_DGP, "c": "abc"}]}, "'c'"),
+        ("spec", [_SPEC], "JSON object"),
+        ("config", {**_DGP, "sigma_eps_sq": "big"}, "'sigma_eps_sq'"),
+        ("config", {**_DGP, "s": None}, "'s'"),
+        ("config", [_DGP], "JSON object"),
+        ("table", {**_TABLE, "levels": {"0.95": "x"}}, "'levels'"),
+        ("table", [_TABLE], "JSON object"),
+    ],
+)
+def test_malformed_spec_config_and_table_fields_exit_2(tmp_path, capfd, what, payload, named):
+    path = tmp_path / f"{what}.json"
+    path.write_text(json.dumps(payload))
+    out = str(tmp_path / "out.csv")
+    if what == "spec":
+        argv = ["experiment", "--spec", str(path), "--out", out]
+    elif what == "config":
+        argv = ["simulate", "--config", str(path), "--out", out]
+    else:
+        data = tmp_path / "d.csv"
+        data.write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
+        argv = ["test", "--stat", "cusum", "--input", str(data), "--critvals", str(path)]
+    assert main(argv) == 2
+    err = capfd.readouterr().err
+    assert named in err and "Traceback" not in err

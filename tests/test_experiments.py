@@ -89,6 +89,11 @@ def test_experiment_config_rejects_unknown_key():
         experiment_from_config(cfg)
 
 
+def test_experiment_config_must_be_an_object():
+    with pytest.raises(SpecError, match="JSON object"):
+        experiment_from_config([experiment_to_config(_small_spec())])
+
+
 def test_per_stat_default_trimming():
     spec = _small_spec(stat_kinds=("cusum", "wald"))
     assert spec.nu_for("cusum") == 0.0

@@ -1,4 +1,5 @@
-"""Property tests: block evaluation, per-sample parity and the Wald identity."""
+"""Property tests: block evaluation, per-sample parity, the Wald identity and
+the invariances every statistic path must have."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,11 @@ from breaklab.kernels import wald_scan
 from breaklab.rng import replication_stream
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+#: float64 tolerance of an invariance, relative to the path's largest magnitude:
+#: eps (2.2e-16) x T (<= 120) x the largest ratio of data to residual size the
+#: strategies below allow (about 1e3) x design conditioning (about 1e2) ~ 3e-9
+INVARIANCE_RTOL = 1e-8
 
 STATS = (("cusum", 0.0), ("cusumsq", 0.0), ("zmean", 0.15), ("wald", 0.15))
 
@@ -141,3 +147,61 @@ def test_wald_identity_matches_per_k_refits(p, T, seed, scale):
         np.testing.assert_allclose(vals, want, rtol=1e-9)
     stacked, _ = wald_scan(np.stack([X, X]), np.stack([y, fit.residuals]), k_lo, k_hi, fit.sigma_hat_sq)
     np.testing.assert_allclose(stacked, np.stack([want, want]), rtol=1e-9)
+
+
+def _default_paths(X, y):
+    """Each statistic's path at its default trimming; zmean on the intercept-only design only."""
+    sample = Sample(y=y, X=X)
+    fit = ols_fit(sample)
+    out = {
+        "cusum": break_tests.cusum_path(fit),
+        "cusumsq": break_tests.cusum_sq_path(fit),
+        "wald": break_tests.wald_path(sample),
+    }
+    if X.shape[1] == 1:
+        out["zmean"] = break_tests.z_mean_path(sample)
+    return out
+
+
+@PROPERTY
+@given(
+    p=st.sampled_from([1, 2, 3]),
+    T=st.integers(30, 120),
+    seed=st.integers(0, 2**32 - 1),
+    a=st.floats(0.1, 10.0),
+    c=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+)
+def test_every_path_invariant_under_positive_affine_maps(p, T, seed, a, c):
+    # y -> a y + X c scales the residuals by a and leaves every self-normalized path alone
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(T)] + [rng.standard_normal(T) for _ in range(p - 1)])
+    y = X @ rng.standard_normal(p) + rng.standard_normal(T)
+    before = _default_paths(X, y)
+    after = _default_paths(X, a * y + X @ np.array(c[:p]))
+    assert sorted(before) == sorted(after)
+    for kind, want in before.items():
+        assert np.array_equal(after[kind].ks, want.ks)
+        atol = INVARIANCE_RTOL * np.nanmax(np.abs(want.path))
+        np.testing.assert_allclose(after[kind].path, want.path, rtol=0, atol=atol, err_msg=kind)
+
+
+@PROPERTY
+@given(
+    p=st.sampled_from([1, 2, 3]),
+    intercept=st.booleans(),
+    T=st.integers(10, 120),
+    nu=st.sampled_from([0.0, 0.1, 0.25]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_signed_cusum_reversal_antisymmetry_for_any_design(p, intercept, T, nu, seed):
+    # reversing the rows reverses the residuals, so S_rev(k) - (k/T) S_T = -(S(T-k) - ((T-k)/T) S_T)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((T, p))
+    if intercept:
+        X[:, 0] = 1.0
+    y = X @ rng.standard_normal(p) + rng.standard_normal(T)
+    fwd = break_tests.cusum_path(ols_fit(Sample(y=y, X=X)), nu)
+    rev = break_tests.cusum_path(ols_fit(Sample(y=y[::-1], X=X[::-1])), nu)
+    assert np.array_equal(rev.ks, T - fwd.ks[::-1])
+    atol = INVARIANCE_RTOL * np.max(np.abs(fwd.path))
+    np.testing.assert_allclose(rev.path, -fwd.path[::-1], rtol=0, atol=atol)
