@@ -14,6 +14,7 @@ from .break_tests import (
 from .dgp import (
     DgpSpec,
     Sample,
+    SampleStack,
     gen_ar1,
     gen_cointegration,
     gen_linear_regression,
@@ -68,6 +69,7 @@ from .rng import (
     DEFAULT_MASTER_SEED,
     InnovCov,
     SeedSpec,
+    StreamStack,
     derive_stream,
     draw_gaussian_pairs,
     limit_draw_stream,

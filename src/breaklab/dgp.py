@@ -5,6 +5,13 @@ drawn in a fixed order that does not depend on the break fraction, so under
 the encoded null (equal regime coefficients) the generated data are identical
 for any ``s``.
 
+Each family builds a whole stack of replications at once from their
+standard normals, one row per replication.  :func:`generate` given a
+:class:`~breaklab.rng.StreamStack` (``replication_stream(seed, range(lo,
+hi))``) returns the stacked samples of those replications; given one
+stream, it builds the block of one, so a row of the stack and the sample
+generated from that replication's own stream are the same bit for bit.
+
 Sign convention for persistence: the autoregressive root is
 ``rho = 1 + c/T`` with ``c <= 0`` meaning near-stationary and ``c = 0`` the
 exact unit root.  This convention is used consistently everywhere a ``c``
@@ -20,19 +27,10 @@ import numpy as np
 
 from . import kernels
 from .errors import DataError, SpecError
-from .rng import InnovCov, draw_gaussian_pairs
+from .rng import InnovCov, StreamStack, gaussian_pairs
 from .schema import typed
 
 FAMILIES = ("location", "linear_regression", "cointegration", "predictive_lur", "ar1")
-
-#: families whose sample design is wider than the switching-coefficient vector
-_DESIGN_DIM = {
-    "location": lambda spec: 1,
-    "linear_regression": lambda spec: spec.p,
-    "cointegration": lambda spec: 1,
-    "predictive_lur": lambda spec: 2,  # intercept column plus lagged regressor
-    "ar1": lambda spec: 1,
-}
 
 _CONFIG_KEYS = (
     "family",
@@ -57,6 +55,13 @@ class DgpSpec:
     t > k, where the break index is k = floor(T * s), clamped so both
     regimes are non-empty whenever 0 < s < 1.  ``s`` equal to 0 or 1 encodes
     "no break" and requires equal regime coefficients.
+
+    Persistent families accept autoregressive roots |1 + c/T| <= 1.5.  Near
+    that bound the regressor explodes within the sample (predictive_lur at
+    T=500, c=240 passes 1e80), so the pooled design fails the rank
+    check in every replication: an experiment cell reports ``failed`` equal
+    to ``n_reps`` and a NaN rejection rate for every statistic, and its
+    per-cell INFO line counts the rank-deficient pooled designs.
     """
 
     family: str
@@ -105,7 +110,7 @@ class DgpSpec:
     @property
     def design_dim(self):
         """Number of columns in the generated design matrix."""
-        return _DESIGN_DIM[self.family](self)
+        return _FAMILIES[self.family].design_dim(self)
 
     @property
     def break_index(self):
@@ -167,48 +172,74 @@ def _require_family(spec, family):
         raise SpecError(f"generator for family {family!r} got spec with family {spec.family!r}")
 
 
-def gen_location(spec, stream):
+@dataclass
+class SampleStack:
+    """Samples of consecutive replications of one spec, stacked.
+
+    ``y`` is (R, T), ``X`` (R, T, p) and every innovation series (R, T);
+    row i is the sample of the i-th replication.
+    """
+
+    y: np.ndarray
+    X: np.ndarray
+    truth: DgpSpec
+    innovations: dict
+
+    def __len__(self):
+        return self.y.shape[0]
+
+    def rows(self, lo, hi):
+        """The stack of rows lo..hi-1 (views, no copy)."""
+        innovations = {name: v[lo:hi] for name, v in self.innovations.items()}
+        return SampleStack(y=self.y[lo:hi], X=self.X[lo:hi], truth=self.truth, innovations=innovations)
+
+    def sample(self, i):
+        """Row i as a :class:`Sample`."""
+        innovations = {name: v[i] for name, v in self.innovations.items()}
+        return Sample(y=self.y[i], X=self.X[i], truth=self.truth, innovations=innovations)
+
+
+# Each family builds its stack from standard normals ``z`` of shape
+# (R, *draw_shape): row i of ``z`` is the start of replication i's stream, in
+# the order a single stream draws them.
+
+
+def _location(spec, z):
     """Mean-shift model: y_t = m1 for t <= k, m2 after, plus Gaussian noise."""
-    _require_family(spec, "location")
-    eps = math.sqrt(spec.cov.sigma_eps_sq) * stream.standard_normal(spec.T)
+    eps = math.sqrt(spec.cov.sigma_eps_sq) * z
     y = _regime_coefs(spec)[:, 0] + eps
-    X = np.ones((spec.T, 1))
-    return Sample(y=y, X=X, truth=spec, innovations={"eps": eps})
+    return y, np.ones((*y.shape, 1)), {"eps": eps}
 
 
-def gen_linear_regression(spec, stream):
+def _linear_regression(spec, z):
     """Regression with intercept and i.i.d. standard-normal regressors.
 
     The first design column is the intercept; the remaining p-1 columns are
-    drawn independently of the noise.  Coefficients switch at the break
-    index.
+    drawn independently of the noise, before it.  Coefficients switch at the
+    break index.
     """
-    _require_family(spec, "linear_regression")
     T, p = spec.T, spec.p
-    X = np.ones((T, p))
-    if p > 1:
-        X[:, 1:] = stream.standard_normal((T, p - 1))
-    eps = math.sqrt(spec.cov.sigma_eps_sq) * stream.standard_normal(T)
-    y = np.sum(X * _regime_coefs(spec), axis=1) + eps
-    return Sample(y=y, X=X, truth=spec, innovations={"eps": eps})
+    X = np.ones((z.shape[0], T, p))
+    X[:, :, 1:] = z[:, : T * (p - 1)].reshape(z.shape[0], T, p - 1)
+    eps = math.sqrt(spec.cov.sigma_eps_sq) * z[:, T * (p - 1) :]
+    y = np.sum(X * _regime_coefs(spec), axis=-1) + eps
+    return y, X, {"eps": eps}
 
 
-def gen_cointegration(spec, stream):
+def _cointegration(spec, z):
     """Integrated-regressor pair: x is a random walk driven by eps, y = b*x + u.
 
     The (eps, u) pairs are drawn jointly with covariance ``spec.cov``; the
     cross-covariance is what makes the regressor endogenous.
     """
-    _require_family(spec, "cointegration")
-    pairs = draw_gaussian_pairs(stream, spec.T, spec.cov)
-    eps = pairs[:, 0]
-    u = pairs[:, 1]
+    pairs = gaussian_pairs(z, spec.cov)
+    eps, u = pairs[..., 0], pairs[..., 1]
     x = kernels.ar1_path(eps, 1.0, spec.x0)
     y = _regime_coefs(spec)[:, 0] * x + u
-    return Sample(y=y, X=x[:, None], truth=spec, innovations={"eps": eps, "u": u})
+    return y, x[..., None], {"eps": eps, "u": u}
 
 
-def gen_predictive_lur(spec, stream):
+def _predictive_lur(spec, z):
     """Predictive regression with a local-to-unity regressor.
 
     The regressor evolves as x_t = rho x_{t-1} + u_t with rho = 1 + c/T, and
@@ -216,54 +247,91 @@ def gen_predictive_lur(spec, stream):
     drawn and the t=0 pairing is discarded so the sample has exactly T rows.
     The design is [1, x_{t-1}].
     """
-    _require_family(spec, "predictive_lur")
     T = spec.T
     rho = 1.0 + spec.persistence_c / T
-    pairs = draw_gaussian_pairs(stream, T + 1, spec.cov)
-    eps = pairs[1:, 0]
-    u = pairs[1:, 1]
+    pairs = gaussian_pairs(z, spec.cov)
+    eps, u = pairs[:, 1:, 0], pairs[:, 1:, 1]
     x = kernels.ar1_path(u, rho, spec.x0)
-    x_lag = np.concatenate([[spec.x0], x[:-1]])
-    y = spec.intercept + _regime_coefs(spec)[:, 0] * x_lag + eps
-    X = np.column_stack([np.ones(T), x_lag])
-    return Sample(y=y, X=X, truth=spec, innovations={"eps": eps, "u": u})
+    X = np.ones((z.shape[0], T, 2))
+    X[:, 0, 1] = spec.x0
+    X[:, 1:, 1] = x[:, :-1]
+    y = spec.intercept + _regime_coefs(spec)[:, 0] * X[..., 1] + eps
+    return y, X, {"eps": eps, "u": u}
 
 
-def gen_ar1(spec, stream):
+def _ar1(spec, z):
     """Autoregression on its own lag: y_t = rho_t y_{t-1} + u_t.
 
     The regime coefficients are the autoregressive roots; configs may supply
     the root through ``c`` (rho = 1 + c/T) instead of explicit coefficients.
     """
-    _require_family(spec, "ar1")
     T = spec.T
-    u = math.sqrt(spec.cov.sigma_u_sq) * stream.standard_normal(T)
+    u = math.sqrt(spec.cov.sigma_u_sq) * z
     k = spec.break_index
     rho_pre = spec.params_pre[0]
     rho_post = spec.params_post[0]
     if 0 < k < T:
-        seg1 = kernels.ar1_path(u[:k], rho_pre, spec.x0)
-        seg2 = kernels.ar1_path(u[k:], rho_post, seg1[-1])
-        z = np.concatenate([seg1, seg2])
+        seg1 = kernels.ar1_path(u[:, :k], rho_pre, spec.x0)
+        seg2 = kernels.ar1_path(u[:, k:], rho_post, seg1[:, -1])
+        y = np.concatenate([seg1, seg2], axis=1)
     else:
-        rho = rho_pre if k == T else rho_post
-        z = kernels.ar1_path(u, rho, spec.x0)
-    z_lag = np.concatenate([[spec.x0], z[:-1]])
-    return Sample(y=z, X=z_lag[:, None], truth=spec, innovations={"u": u})
+        y = kernels.ar1_path(u, rho_pre if k == T else rho_post, spec.x0)
+    X = np.empty((z.shape[0], T, 1))
+    X[:, 0, 0] = spec.x0
+    X[:, 1:, 0] = y[:, :-1]
+    return y, X, {"u": u}
 
 
-_GENERATORS = {
-    "location": gen_location,
-    "linear_regression": gen_linear_regression,
-    "cointegration": gen_cointegration,
-    "predictive_lur": gen_predictive_lur,
-    "ar1": gen_ar1,
+@dataclass(frozen=True)
+class _Family:
+    design_dim: object  # spec -> number of design columns
+    draw_shape: object  # spec -> shape of one replication's standard normals
+    build: object  # (spec, z) -> (y, X, innovations) stacks
+
+
+_FAMILIES = {
+    "location": _Family(lambda spec: 1, lambda spec: (spec.T,), _location),
+    "linear_regression": _Family(lambda spec: spec.p, lambda spec: (spec.T * spec.p,), _linear_regression),
+    "cointegration": _Family(lambda spec: 1, lambda spec: (spec.T, 2), _cointegration),
+    # intercept column plus lagged regressor
+    "predictive_lur": _Family(lambda spec: 2, lambda spec: (spec.T + 1, 2), _predictive_lur),
+    "ar1": _Family(lambda spec: 1, lambda spec: (spec.T,), _ar1),
 }
 
 
+def _stack(spec, z):
+    y, X, innovations = _FAMILIES[spec.family].build(spec, z)
+    return SampleStack(y=y, X=X, truth=spec, innovations=innovations)
+
+
 def generate(spec, stream):
-    """Generate one sample from ``spec`` using the given random stream."""
-    return _GENERATORS[spec.family](spec, stream)
+    """Generate one sample from ``spec`` using the given random stream.
+
+    ``stream`` may instead be a :class:`~breaklab.rng.StreamStack`; the
+    result is then the :class:`SampleStack` of its streams, generated at
+    once, whose row i equals the sample generated from stream i alone.
+    """
+    shape = _FAMILIES[spec.family].draw_shape(spec)
+    if isinstance(stream, StreamStack):
+        return _stack(spec, stream.normal_rows(shape))
+    return _stack(spec, stream.standard_normal(shape)[None]).sample(0)
+
+
+def _family_generator(family):
+    def gen(spec, stream):
+        _require_family(spec, family)
+        return generate(spec, stream)
+
+    gen.__name__ = gen.__qualname__ = f"gen_{family}"
+    gen.__doc__ = _FAMILIES[family].build.__doc__
+    return gen
+
+
+gen_location = _family_generator("location")
+gen_linear_regression = _family_generator("linear_regression")
+gen_cointegration = _family_generator("cointegration")
+gen_predictive_lur = _family_generator("predictive_lur")
+gen_ar1 = _family_generator("ar1")
 
 
 # ---------------------------------------------------------------------------

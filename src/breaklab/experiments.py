@@ -6,8 +6,9 @@ byte-identical results.  Replications are processed in fixed-size chunks;
 the chunks of all cells go through one map, over a process pool when
 ``workers > 1``, so no worker waits at a cell boundary.  Results come back in
 payload order and each cell is aggregated as soon as its chunks are in.
-Inside a chunk, replications are generated in small blocks: each replication
-gets one pooled fit, and each statistic is evaluated once per block on the
+Inside a chunk, replications are generated together, in stacks bounded by
+:data:`STACK_BYTES`, and evaluated in smaller blocks: each replication gets
+one pooled fit, and each statistic is evaluated once per block on the
 stacked fits.
 """
 
@@ -151,9 +152,12 @@ def experiment_from_config(cfg):
     source_cfg = cfg.get("table_source", {"mode": "inline"})
     if not isinstance(source_cfg, dict):
         raise SpecError(f"experiment config key 'table_source' must be an object, got {source_cfg!r}")
+    paths = source_cfg.get("paths", [])
+    if not (isinstance(paths, (list, tuple)) and all(isinstance(path, str) for path in paths)):
+        raise SpecError(f"table_source key 'paths' must be a list of strings, got {paths!r}")
     table_source = TableSource(
         mode=source_cfg.get("mode"),
-        paths=tuple(source_cfg.get("paths", ())),
+        paths=tuple(paths),
         n_reps=_field(source_cfg, "n_reps", int, TableSource.n_reps, "table_source"),
         n_steps=_field(source_cfg, "n_steps", int, TableSource.n_steps, "table_source"),
     )
@@ -224,20 +228,25 @@ def resolve_tables(spec):
 # ---------------------------------------------------------------------------
 
 class SampleBlock:
-    """Samples of consecutive replications of one cell, stacked.
+    """Consecutive replications of one cell: rows of a generated
+    :class:`~breaklab.dgp.SampleStack`.
 
     ``X`` is (R, T, p) and ``y`` (R, T).  The pooled fit of every sample is
     computed once, on first use, and shared by all statistics.
     """
 
-    def __init__(self, samples):
-        self.samples = samples
-        self.X = np.stack([s.X for s in samples])
-        self.y = np.stack([s.y for s in samples])
-        self.caches = [{} for _ in samples]
+    def __init__(self, stack):
+        self.stack = stack
+        self.X = stack.X
+        self.y = stack.y
+        self.caches = [{} for _ in range(len(stack))]
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.stack)
+
+    @cached_property
+    def samples(self):
+        return [self.stack.sample(i) for i in range(len(self.stack))]
 
     @cached_property
     def fit(self):
@@ -246,9 +255,17 @@ class SampleBlock:
             return ols_fit(self)
 
 
+#: chunk count of replications whose pooled design failed the rank check
+#: (every statistic fails on them), kept next to the skipped-split counts
+RANK_DEFICIENT = "pooled designs rank deficient"
+
 #: working-set budget of one block's per-split arrays (cumulative Gram,
 #: regime factors and partial sums of every stacked replication)
 BLOCK_BYTES = 1 << 20
+
+#: budget of one generation stack: the normals, paths, y and X of every
+#: replication generated at once
+STACK_BYTES = 1 << 23
 
 
 def block_size(T, p):
@@ -257,27 +274,46 @@ def block_size(T, p):
     return max(1, BLOCK_BYTES // (8 * T * (4 * p * p + 4 * p)))
 
 
+def stack_size(T, p):
+    """Replications generated at once: as many as keep about four T x (p + 1)
+    arrays per replication within :data:`STACK_BYTES` (174 at T=500, p=2)."""
+    return max(1, STACK_BYTES // (8 * T * 4 * (p + 1)))
+
+
+def _blocks(spec, master_seed, rep_lo, rep_hi):
+    """``(first replication, SampleBlock)`` over [rep_lo, rep_hi): generated
+    in stacks of :func:`stack_size`, evaluated in blocks of :func:`block_size`."""
+    step = block_size(spec.T, spec.design_dim)
+    stack_step = stack_size(spec.T, spec.design_dim)
+    for stack_lo in range(rep_lo, rep_hi, stack_step):
+        reps = range(stack_lo, min(stack_lo + stack_step, rep_hi))
+        stack = dgp.generate(spec, replication_stream(master_seed, reps))
+        for i in range(0, len(stack), step):
+            yield stack_lo + i, SampleBlock(stack.rows(i, i + step))
+
+
 def _run_chunk(payload):
     """Compute sup statistics for replications [rep_lo, rep_hi) of one cell.
 
     Module-level so it can cross a process boundary; everything needed is in
-    the payload.  Replications are generated and evaluated in blocks of
-    :func:`block_size`; each replication's results depend on its own stream
-    alone, never on the block it landed in.  Returns NaN where a
+    the payload.  Each replication's results depend on its own stream alone,
+    never on the stack or block it landed in.  Returns NaN where a
     replication failed for that statistic, and per statistic the number of
-    skipped Wald splits.
+    skipped Wald splits; under :data:`RANK_DEFICIENT` the same dict counts
+    the replications whose pooled design failed the rank check.
     """
     dgp_cfg, stat_items, master_seed, rep_lo, rep_hi, paths_upto = payload
     spec = dgp.spec_from_config(dgp_cfg)
     sups = {kind: np.full(rep_hi - rep_lo, np.nan) for kind, _ in stat_items}
     skipped = dict.fromkeys(sups, 0)
+    skipped[RANK_DEFICIENT] = 0
     paths = []
-    step = block_size(spec.T, spec.design_dim)
-    for lo in range(rep_lo, rep_hi, step):
-        hi = min(lo + step, rep_hi)
-        block = SampleBlock(
-            [dgp.generate(spec, replication_stream(master_seed, rep)) for rep in range(lo, hi)]
-        )
+    for lo, block in _blocks(spec, master_seed, rep_lo, rep_hi):
+        hi = lo + len(block)
+        try:
+            skipped[RANK_DEFICIENT] += int(np.count_nonzero(~block.fit.full_rank))
+        except BreakLabError:  # no pooled fit at all: fewer rows than columns
+            pass
         rows = {}
         for kind, nu in stat_items:
             try:
@@ -396,13 +432,21 @@ def run_experiment(spec, workers=1, paths_sample=0):
         results = (map if executor is None else executor.map)(_run_chunk, payloads)
         for dspec in spec.dgp_grid:
             sups = {kind: np.empty(spec.n_reps) for kind in spec.stat_kinds}
-            skipped = dict.fromkeys(spec.stat_kinds, 0)
+            skipped = dict.fromkeys((*spec.stat_kinds, RANK_DEFICIENT), 0)
             for rep_lo, chunk_sups, chunk_paths, chunk_skipped in islice(results, len(starts)):
                 for kind, values in chunk_sups.items():
                     sups[kind][rep_lo : rep_lo + values.shape[0]] = values
-                    skipped[kind] += chunk_skipped[kind]
+                for key in skipped:
+                    skipped[key] += chunk_skipped[key]
                 for rep, kind, ks, path in chunk_paths:
                     all_paths.append((dspec, kind, rep, ks, path))
+            notes = [
+                f"{kind} failed {int(np.isnan(sups[kind]).sum())}/{spec.n_reps}"
+                + (f", {skipped[kind]} singular splits skipped" if skipped[kind] else "")
+                for kind in spec.stat_kinds
+            ]
+            if skipped[RANK_DEFICIENT]:
+                notes.append(f"{skipped[RANK_DEFICIENT]}/{spec.n_reps} {RANK_DEFICIENT}")
             log.info(
                 "%s T=%d s=%g c=%g corr=%g: %s",
                 dspec.family,
@@ -410,11 +454,7 @@ def run_experiment(spec, workers=1, paths_sample=0):
                 dspec.s,
                 dspec.persistence_c,
                 float(dspec.cov.correlation),
-                "; ".join(
-                    f"{kind} failed {int(np.isnan(sups[kind]).sum())}/{spec.n_reps}"
-                    + (f", {skipped[kind]} singular splits skipped" if skipped[kind] else "")
-                    for kind in spec.stat_kinds
-                ),
+                "; ".join(notes),
             )
             for kind, nu in stat_items:
                 key = spec.table_key(kind, dspec)

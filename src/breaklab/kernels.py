@@ -1,10 +1,10 @@
-"""Hot numeric kernels, vectorized in numpy.
+"""Hot numeric kernels, vectorized in numpy alone.
 
 Kernels operate on pre-drawn innovation arrays and are fully deterministic:
 all randomness lives in :mod:`breaklab.rng` streams owned by the callers.
-The factorization and the Wald scan take stacks of small problems and
-treat every stacked problem independently, so a result never depends on
-what else was stacked with it.
+The first-order recursion, the factorization and the Wald scan take stacks
+of series or small problems and treat every stacked one independently, so a
+result never depends on what else was stacked with it.
 """
 
 import numpy as np
@@ -19,13 +19,23 @@ GRAM_PIVOT_RTOL = 1e-10
 # ---------------------------------------------------------------------------
 
 def ar1_path(shocks, rho, x0=0.0):
-    """Recursion x_t = rho * x_{t-1} + shock_t started at x0; returns x_1..x_n."""
-    from scipy.signal import lfilter
+    """Recursion x_t = rho * x_{t-1} + shock_t started at x0; returns x_1..x_n.
 
+    ``shocks`` is one series (n,) or a stack (R, n) of them, and ``x0`` a
+    scalar or one start per row.  The loop runs over time, one vector
+    operation across the stack per step, in place on a C-contiguous copy of
+    ``shocks``, which it returns.  Every step rounds ``rho * x_{t-1}`` before
+    adding the shock.
+    """
     rho = float(rho)
-    zi = np.array([rho * float(x0)])
-    out, _ = lfilter([1.0], [1.0, -rho], np.ascontiguousarray(shocks, dtype=np.float64), zi=zi)
-    return out
+    shocks = np.asarray(shocks, dtype=np.float64)
+    path = np.array(shocks, order="C")
+    rows = path.reshape(-1, shocks.shape[-1])
+    prev = np.broadcast_to(np.asarray(x0, dtype=np.float64), rows.shape[:1])
+    for step in rows.T:
+        step += rho * prev
+        prev = step
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +226,12 @@ def lur_cusum_sup(dbe, dbu, c):
     is driven by ``dbu`` with exact one-step decay, and all stochastic
     integrals use left-endpoint sums.
     """
-    from scipy.signal import lfilter
-
     dbe = np.ascontiguousarray(dbe, dtype=np.float64)
     dbu = np.ascontiguousarray(dbu, dtype=np.float64)
     B, n = dbe.shape
     dt = 1.0 / n
     decay, lam = _lur_drive_coeffs(float(c), dt)
-    j_path = lfilter([lam], [1.0, -decay], dbu, axis=1)
+    j_path = ar1_path(lam * dbu, decay)
     j_prev = np.concatenate([np.zeros((B, 1)), j_path[:, :-1]], axis=1)
     int_jdb = np.cumsum(j_prev * dbu, axis=1)
     int_j = np.cumsum(j_prev, axis=1) * dt

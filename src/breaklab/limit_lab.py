@@ -232,31 +232,17 @@ def simulate_cvm_p1(n_steps, stream):
 # ---------------------------------------------------------------------------
 
 def _draw_block(kind, master_seed, lo, hi, n_steps, p, nu, c, corr):
-    count = hi - lo
+    if kind not in FUNCTIONAL_KINDS:
+        raise SpecError(f"unknown functional kind {kind!r}; expected one of {FUNCTIONAL_KINDS}")
+    shape = {"supqp": (p, n_steps), "supabslurcusum": (2, n_steps)}.get(kind, (n_steps,))
+    z = limit_draw_stream(master_seed, range(lo, hi)).normal_rows(shape)
     if kind == "supabsbb":
-        z = np.empty((count, n_steps))
-        for b in range(count):
-            z[b] = limit_draw_stream(master_seed, lo + b).standard_normal(n_steps)
-        j_lo, j_hi = _trim_indices(n_steps, nu, interior=False)
-        return kernels.bridge_sup(z, j_lo, j_hi)
+        return kernels.bridge_sup(z, *_trim_indices(n_steps, nu, interior=False))
     if kind == "supqp":
-        z = np.empty((count, p, n_steps))
-        for b in range(count):
-            z[b] = limit_draw_stream(master_seed, lo + b).standard_normal((p, n_steps))
-        j_lo, j_hi = _trim_indices(n_steps, nu, interior=True)
-        return kernels.qp_sup(z, j_lo, j_hi)
+        return kernels.qp_sup(z, *_trim_indices(n_steps, nu, interior=True))
     if kind == "supabslurcusum":
-        z = np.empty((count, 2, n_steps))
-        for b in range(count):
-            z[b] = limit_draw_stream(master_seed, lo + b).standard_normal((2, n_steps))
-        dbe, dbu = _correlated_increments(z, corr, n_steps)
-        return kernels.lur_cusum_sup(dbe, dbu, c)
-    if kind == "cvmp1trace":
-        z = np.empty((count, n_steps))
-        for b in range(count):
-            z[b] = limit_draw_stream(master_seed, lo + b).standard_normal(n_steps)
-        return _cvm_from_increments(z)
-    raise SpecError(f"unknown functional kind {kind!r}; expected one of {FUNCTIONAL_KINDS}")
+        return kernels.lur_cusum_sup(*_correlated_increments(z, corr, n_steps), c)
+    return _cvm_from_increments(z)
 
 
 def tabulate(
@@ -357,18 +343,25 @@ def table_from_json_dict(payload):
     def field(convert, value, name):
         return typed(convert, value, f"critical-value table field {name!r}", DataError)
 
+    def mapping(name):
+        value = payload[name]
+        if not isinstance(value, dict):
+            raise DataError(f"critical-value table field {name!r} must be a JSON object, got {value!r}")
+        return value
+
     try:
+        levels, meta = mapping("levels"), mapping("meta")
         return CriticalValueTable(
             functional_kind=payload["kind"],
             p=field(int, payload["p"], "p"),
             nu=field(float, payload["nu"], "nu"),
             c=None if payload.get("c") is None else field(float, payload["c"], "c"),
             corr=None if payload.get("corr") is None else field(float, payload["corr"], "corr"),
-            quantiles={field(float, lv, "levels"): field(float, v, "levels") for lv, v in payload["levels"].items()},
+            quantiles={field(float, lv, "levels"): field(float, v, "levels") for lv, v in levels.items()},
             meta={
-                "n_steps": field(int, payload["meta"]["n_steps"], "meta.n_steps"),
-                "n_reps": field(int, payload["meta"]["n_reps"], "meta.n_reps"),
-                "master_seed": field(int, payload["meta"]["seed"], "meta.seed"),
+                "n_steps": field(int, meta["n_steps"], "meta.n_steps"),
+                "n_reps": field(int, meta["n_reps"], "meta.n_reps"),
+                "master_seed": field(int, meta["seed"], "meta.seed"),
             },
         )
     except KeyError as exc:

@@ -10,6 +10,12 @@ every Monte Carlo result independent of the worker count.
 Limit-process draws (critical-value tabulation) live in a disjoint stream-id
 namespace so that a table simulated inline with the same master seed never
 reuses the innovation streams of the experiment it calibrates.
+
+Given a range of replications or draws, :func:`replication_stream` and
+:func:`limit_draw_stream` return a :class:`StreamStack`.  Its
+``normal_rows(shape)`` stacks one row per stream, row i bit for bit what
+stream i's own generator draws first, so a stack of replications or limit
+draws costs one re-keyed bit generator instead of one generator per stream.
 """
 
 from dataclasses import dataclass
@@ -53,14 +59,65 @@ def derive_stream(seed):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+@dataclass(frozen=True)
+class StreamStack:
+    """The streams ``(master_seed, i)`` of every id i in the range
+    ``stream_ids``, drawn from together.
+
+    Both ends of the range are validated like a :class:`SeedSpec`, so every
+    id in it is.
+    """
+
+    master_seed: int
+    stream_ids: range
+
+    def __post_init__(self):
+        ends = (*self.stream_ids[:1], *self.stream_ids[-1:])
+        for stream_id in ends or (0,):
+            SeedSpec(self.master_seed, stream_id)
+
+    def __len__(self):
+        return len(self.stream_ids)
+
+    def normal_rows(self, shape):
+        """Standard normals of shape ``(len(self), *shape)``, one stream per row.
+
+        Row r equals ``derive_stream(SeedSpec(master_seed, stream_ids[r]))
+        .standard_normal(shape)`` bit for bit: one Philox bit generator is
+        re-keyed to each stream's initial state in turn, in place of one new
+        generator per stream.  Every call draws from the streams' start.
+        """
+        out = np.empty((len(self), *shape))
+        bits = np.random.Philox(key=np.array([self.master_seed, 0], dtype=np.uint64))
+        gen = np.random.Generator(bits)
+        state = bits.state
+        key = state["state"]["key"]
+        for row, stream_id in zip(out, self.stream_ids):
+            key[1] = stream_id
+            bits.state = state
+            gen.standard_normal(shape, out=row)
+        return out
+
+
 def replication_stream(master_seed, rep):
-    """Stream for Monte Carlo replication ``rep`` (stream_id = rep)."""
+    """Stream for Monte Carlo replication ``rep`` (stream_id = rep).
+
+    A range of replications gives their :class:`StreamStack`.
+    """
+    if isinstance(rep, range):
+        return StreamStack(master_seed, rep)
     return derive_stream(SeedSpec(master_seed, rep))
 
 
 def limit_draw_stream(master_seed, draw):
-    """Stream for limit-process draw ``draw``, in its own id namespace."""
-    return derive_stream(SeedSpec(master_seed, LIMIT_DRAW_STREAM_OFFSET + draw))
+    """Stream for limit-process draw ``draw``, in its own id namespace.
+
+    A range of draws gives their :class:`StreamStack`.
+    """
+    offset = LIMIT_DRAW_STREAM_OFFSET
+    if isinstance(draw, range):
+        return StreamStack(master_seed, range(offset + draw.start, offset + draw.stop, draw.step))
+    return derive_stream(SeedSpec(master_seed, offset + draw))
 
 
 @dataclass(frozen=True)
@@ -129,14 +186,17 @@ class InnovCov:
         return np.array([[a, 0.0], [b, c]])
 
 
-def draw_gaussian_pairs(stream, n, cov):
-    """Draw n correlated (eps, u) pairs as an (n, 2) array.
+def gaussian_pairs(z, cov):
+    """Correlated (eps, u) pairs from standard normals ``z`` of shape (..., n, 2).
 
     Pairs are formed by the lower-triangular square-root transform of
     independent standard normals, so sample moments converge to ``cov``.
     """
+    return z @ cov.cholesky_factor().T
+
+
+def draw_gaussian_pairs(stream, n, cov):
+    """Draw n correlated (eps, u) pairs as an (n, 2) array (see :func:`gaussian_pairs`)."""
     if n < 0:
         raise SpecError(f"n must be nonnegative, got {n}")
-    factor = cov.cholesky_factor()
-    z = stream.standard_normal((n, 2))
-    return z @ factor.T
+    return gaussian_pairs(stream.standard_normal((n, 2)), cov)

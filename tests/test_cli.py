@@ -297,3 +297,22 @@ def test_malformed_spec_config_and_table_fields_exit_2(tmp_path, capfd, what, pa
     assert main(argv) == 2
     err = capfd.readouterr().err
     assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field,value", [("meta", "x"), ("levels", 5)])
+def test_table_with_non_object_nested_field_exits_2(tmp_path, capfd, field, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**_TABLE, field: value}))
+    data = tmp_path / "d.csv"
+    data.write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
+    assert main(["test", "--stat", "cusum", "--input", str(data), "--critvals", str(path)]) == 2
+    err = capfd.readouterr().err
+    assert f"'{field}'" in err and "Traceback" not in err
+
+
+def test_string_table_paths_exit_2_naming_the_field(tmp_path, capfd):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**_SPEC, "table_source": {"mode": "precomputed", "paths": "t.json"}}))
+    assert main(["experiment", "--spec", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+    err = capfd.readouterr().err
+    assert "table_source key 'paths'" in err and "Traceback" not in err

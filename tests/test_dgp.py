@@ -353,3 +353,38 @@ def test_sample_csv_rejects_bad_header(tmp_path):
 def test_sample_shape_validation():
     with pytest.raises(DataError):
         Sample(y=np.zeros(3), X=np.zeros((4, 1)))
+
+
+# ---------------------------------------------------------------------------
+# stacked generation: every row is the replication's own sample
+# ---------------------------------------------------------------------------
+
+_BLOCK_CELLS = {
+    "location": {"family": "location", "T": 30, "s": 0.4, "beta_pre": [0.0], "beta_post": [1.0], "sigma_eps_sq": 2.0},
+    "linear_regression": {"family": "linear_regression", "T": 30, "s": 0.5, "beta_pre": [1.0, 0.5, -0.2],
+                          "beta_post": [0.0, 1.5, 0.3]},
+    "linear_regression_p1": {"family": "linear_regression", "T": 30, "beta_pre": [1.0]},
+    "cointegration": {"family": "cointegration", "T": 30, "sigma_eps_u": 0.5, "x0": 2.0},
+    "predictive_lur": {"family": "predictive_lur", "T": 30, "c": -5.0, "sigma_eps_u": -0.9, "mu": 0.3, "x0": 1.0},
+    "ar1": {"family": "ar1", "T": 30, "c": -3.0},
+    "ar1_break": {"family": "ar1", "T": 30, "s": 0.5, "beta_pre": [0.5], "beta_post": [1.1], "x0": 0.7},
+}
+
+
+@pytest.mark.parametrize("cell", sorted(_BLOCK_CELLS))
+def test_stacked_rows_equal_single_sample_generation(cell):
+    spec = spec_from_config(_BLOCK_CELLS[cell])
+    stack = generate(spec, replication_stream(41, range(5, 17)))
+    assert len(stack) == 12
+    assert stack.X.shape == (12, spec.T, spec.design_dim)
+    for i in range(12):
+        one = generate(spec, replication_stream(41, 5 + i))
+        row = stack.sample(i)
+        assert row.y.tobytes() == one.y.tobytes()
+        assert row.X.tobytes() == one.X.tobytes()
+        assert row.truth == spec
+        assert sorted(row.innovations) == sorted(one.innovations)
+        for name, series in one.innovations.items():
+            assert row.innovations[name].tobytes() == series.tobytes()
+    # a sub-stack is the same rows, whatever range it is cut from
+    assert stack.rows(3, 7).y.tobytes() == generate(spec, replication_stream(41, range(8, 12))).y.tobytes()

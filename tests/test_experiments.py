@@ -1,5 +1,7 @@
 """Monte Carlo engine: determinism, harness self-tests, and bookkeeping."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,58 @@ def test_missing_table_level_fails_before_any_replication(tmp_path, monkeypatch)
     with pytest.raises(TableLookupError, match="level 0.95"):
         run_experiment(spec)
     assert generated == []
+
+
+def test_missing_table_level_fails_before_any_stacked_draw(tmp_path, monkeypatch):
+    from breaklab import rng
+
+    table = tabulate("supabsbb", [0.90], 1000, n_steps=200, master_seed=1)
+    path = tmp_path / "bb.json"
+    save_table(table, path)
+    spec = _small_spec(table_source=TableSource(mode="precomputed", paths=(str(path),)))
+    drawn = []
+    real_normal_rows = rng.StreamStack.normal_rows
+    monkeypatch.setattr(
+        rng.StreamStack,
+        "normal_rows",
+        lambda self, shape: drawn.append(self) or real_normal_rows(self, shape),
+    )
+    with pytest.raises(TableLookupError, match="level 0.95"):
+        run_experiment(spec)
+    assert drawn == []
+    # the spy sees the engine's draws: with a covering table it is called
+    table = tabulate("supabsbb", [0.95], 1000, n_steps=200, master_seed=1)
+    save_table(table, path)
+    drawn.clear()
+    run_experiment(spec)
+    assert [stack.stream_ids for stack in drawn] == [range(0, 200)]
+
+
+@pytest.mark.parametrize("paths", ["t.json", [1], {"a": "t.json"}])
+def test_table_source_paths_must_be_a_list_of_strings(paths):
+    cfg = experiment_to_config(_small_spec())
+    cfg["table_source"] = {"mode": "precomputed", "paths": paths}
+    with pytest.raises(SpecError, match="table_source key 'paths'"):
+        experiment_from_config(cfg)
+
+
+def test_explosive_cell_logs_its_rank_deficient_pooled_designs(caplog):
+    spec = experiment_from_config({
+        "n_reps": 100,
+        "stat_kinds": ["cusum", "wald"],
+        "table_source": {"mode": "inline", "n_reps": 1000, "n_steps": 50},
+        "dgp_grid": [{"family": "predictive_lur", "T": 500, "c": 240.0}, {"family": "location", "T": 30}],
+    })
+    with caplog.at_level(logging.INFO, logger="breaklab.experiments"):
+        report = run_experiment(spec)
+    explosive, location = report.rows[:2], report.rows[2:]
+    assert [row.failed for row in explosive] == [100, 100]
+    assert all(np.isnan(row.reject_rate) for row in explosive)
+    assert [row.failed for row in location] == [0, 0]
+    cells = [r.getMessage() for r in caplog.records if r.getMessage().startswith(("predictive_lur", "location"))]
+    assert len(cells) == 2
+    assert cells[0].endswith("; 100/100 pooled designs rank deficient")
+    assert "rank deficient" not in cells[1]
 
 
 # ---------------------------------------------------------------------------

@@ -136,3 +136,21 @@ def test_lur_kernel_c_zero_reduces_toward_plain_bridge():
     out = lur_cusum_sup(z[:, 0, :] * sdt, z[:, 1, :] * sdt, 0.0)
     assert np.isfinite(out).all()
     assert (out >= 0).all()
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.99, 0.6, 1.2])
+def test_ar1_path_stack_with_per_row_start_matches_scalar_recursion(rho):
+    gen = np.random.default_rng(3)
+    shocks = gen.standard_normal((5, 40))
+    x0 = gen.standard_normal(5)
+    expected = np.empty_like(shocks)
+    for i in range(5):
+        prev = float(x0[i])
+        for t in range(40):
+            prev = rho * prev + float(shocks[i, t])
+            expected[i, t] = prev
+    out = ar1_path(shocks, rho, x0)
+    assert out.shape == shocks.shape and out.flags.c_contiguous
+    assert_allclose(out, expected, rtol=0, atol=0)
+    # Fortran-ordered shocks give the same paths
+    assert_allclose(ar1_path(np.asfortranarray(shocks), rho, x0), expected, rtol=0, atol=0)

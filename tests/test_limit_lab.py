@@ -372,3 +372,11 @@ def test_table_lookup_missing_level():
 def test_load_table_missing_file():
     with pytest.raises(DataError, match="nosuch.json"):
         load_table("nosuch.json")
+
+
+@pytest.mark.parametrize("field,value", [("meta", "x"), ("levels", 5), ("meta", [1, 2]), ("levels", None)])
+def test_table_nested_fields_must_be_objects(field, value):
+    payload = table_to_json_dict(tabulate("supabsbb", [0.95], 1000, n_steps=50, master_seed=2))
+    payload[field] = value
+    with pytest.raises(DataError, match=f"'{field}' must be a JSON object"):
+        table_from_json_dict(payload)

@@ -6,8 +6,10 @@ from numpy.testing import assert_allclose
 
 from breaklab.errors import SpecError
 from breaklab.rng import (
+    LIMIT_DRAW_STREAM_OFFSET,
     InnovCov,
     SeedSpec,
+    StreamStack,
     derive_stream,
     draw_gaussian_pairs,
     limit_draw_stream,
@@ -142,3 +144,38 @@ def test_pairs_marginal_moments():
     assert_allclose(np.var(pairs[:, 0]), 2.0, rtol=0.02)
     assert_allclose(np.var(pairs[:, 1]), 0.5, rtol=0.02)
     assert_allclose(np.cov(pairs.T)[0, 1], -0.6, rtol=0.03)
+
+
+# ---------------------------------------------------------------------------
+# StreamStack: one re-keyed bit generator for a range of streams
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(7,), (2, 5)])
+def test_stacked_rows_equal_each_replication_stream(shape):
+    reps = range(3, 11)
+    rows = replication_stream(99, reps).normal_rows(shape)
+    assert rows.shape == (8, *shape)
+    for row, rep in zip(rows, reps):
+        assert row.tobytes() == derive_stream(SeedSpec(99, rep)).standard_normal(shape).tobytes()
+        assert row.tobytes() == replication_stream(99, rep).standard_normal(shape).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(7,), (2, 5)])
+def test_stacked_rows_equal_each_limit_draw_stream(shape):
+    draws = range(3, 11)
+    rows = limit_draw_stream(99, draws).normal_rows(shape)
+    for row, draw in zip(rows, draws):
+        stream_id = LIMIT_DRAW_STREAM_OFFSET + draw
+        assert row.tobytes() == derive_stream(SeedSpec(99, stream_id)).standard_normal(shape).tobytes()
+        assert row.tobytes() == limit_draw_stream(99, draw).standard_normal(shape).tobytes()
+
+
+def test_stream_stack_validates_seed_and_stream_ids():
+    assert StreamStack(1, range(0)).normal_rows((3,)).shape == (0, 3)
+    assert StreamStack(1, range(2**64 - 2, 2**64)).normal_rows((3,)).shape == (2, 3)
+    with pytest.raises(SpecError):
+        StreamStack(1, range(2**64 - 2, 2**64 + 1))
+    with pytest.raises(SpecError):
+        limit_draw_stream(1, range(2**63 - 1, 2**63 + 1))
+    with pytest.raises(SpecError):
+        replication_stream(-1, range(0))
