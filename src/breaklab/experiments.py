@@ -13,7 +13,6 @@ stacked fits.
 """
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -426,6 +425,8 @@ def run_experiment(spec, workers=1, paths_sample=0):
         for d in spec.dgp_grid
         for lo in starts
     ]
+    if workers > 1:  # importing the pool loads multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
     executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         # one map over every cell's chunks, in order: no worker waits at a cell boundary

@@ -167,6 +167,13 @@ def wald_scan(X, y, k_lo, k_hi, sigma2, tol=GRAM_PIVOT_RTOL):
 # limit-process draws from pre-drawn standard-normal increments
 # ---------------------------------------------------------------------------
 
+def bridge_in_place(w):
+    """Rows of partial sums ``w`` (..., n) to bridges w(j/n) - (j/n) w(1), in place."""
+    n = w.shape[-1]
+    w -= np.arange(1, n + 1) / n * w[..., -1:]
+    return w
+
+
 def bridge_sup(z, j_lo, j_hi):
     """Per-row sup |W(j/n) - (j/n) W(1)| over grid points j in [j_lo, j_hi].
 
@@ -174,16 +181,12 @@ def bridge_sup(z, j_lo, j_hi):
     """
     z = np.ascontiguousarray(z, dtype=np.float64)
     B, n = z.shape
-    scale = 1.0 / np.sqrt(n)
-    w = np.cumsum(z, axis=1) * scale
-    wn = w[:, -1]
-    frac = np.arange(1, n + 1) / n
-    bb = w - frac * wn[:, None]
-    lo = max(int(j_lo), 1)
-    seg = np.abs(bb[:, lo - 1 : int(j_hi)])
+    w = np.cumsum(z, axis=1)
+    w *= 1.0 / np.sqrt(n)
+    seg = bridge_in_place(w)[:, max(int(j_lo), 1) - 1 : int(j_hi)]
     if seg.shape[1] == 0:
         return np.zeros(B)
-    return seg.max(axis=1)
+    return np.abs(seg, out=seg).max(axis=1)
 
 
 def qp_sup(z, j_lo, j_hi):
@@ -195,15 +198,12 @@ def qp_sup(z, j_lo, j_hi):
     """
     z = np.ascontiguousarray(z, dtype=np.float64)
     j_lo, j_hi = int(j_lo), int(j_hi)
-    B, p, n = z.shape
-    scale = 1.0 / np.sqrt(n)
-    w = np.cumsum(z, axis=2) * scale
-    wn = w[:, :, -1]
-    frac = np.arange(1, n + 1) / n
-    bb = w - frac * wn[:, :, None]
-    sq = np.sum(bb * bb, axis=1)[:, j_lo - 1 : j_hi]
-    frac_in = frac[j_lo - 1 : j_hi]
-    q = sq / (frac_in * (1.0 - frac_in))
+    n = z.shape[-1]
+    bb = np.cumsum(z, axis=2)
+    bb *= 1.0 / np.sqrt(n)
+    q = np.sum(np.square(bridge_in_place(bb), out=bb), axis=1)[:, j_lo - 1 : j_hi]
+    frac_in = np.arange(j_lo, j_hi + 1) / n
+    q /= frac_in * (1.0 - frac_in)
     return q.max(axis=1)
 
 
@@ -231,15 +231,12 @@ def lur_cusum_sup(dbe, dbu, c):
     B, n = dbe.shape
     dt = 1.0 / n
     decay, lam = _lur_drive_coeffs(float(c), dt)
-    j_path = ar1_path(lam * dbu, decay)
-    j_prev = np.concatenate([np.zeros((B, 1)), j_path[:, :-1]], axis=1)
-    int_jdb = np.cumsum(j_prev * dbu, axis=1)
-    int_j = np.cumsum(j_prev, axis=1) * dt
+    j_prev = np.zeros((B, n))
+    j_prev[:, 1:] = ar1_path(lam * dbu[:, :-1], decay)
     int_jsq = np.maximum(np.sum(j_prev * j_prev, axis=1) * dt, 1e-300)
-    we = np.cumsum(dbe, axis=1)
-    frac = np.arange(1, n + 1) / n
-    correction = (int_jdb / int_jsq[:, None]) * int_j
-    path = (we - frac * we[:, -1][:, None]) - (
-        correction - frac * correction[:, -1][:, None]
-    )
-    return np.abs(path).max(axis=1)
+    correction = np.cumsum(j_prev * dbu, axis=1)
+    correction /= int_jsq[:, None]
+    correction *= np.cumsum(j_prev, axis=1, out=j_prev) * dt
+    path = bridge_in_place(np.cumsum(dbe, axis=1))
+    path -= bridge_in_place(correction)
+    return np.abs(path, out=path).max(axis=1)

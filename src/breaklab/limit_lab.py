@@ -14,6 +14,9 @@ Paths live on the uniform grid 0, 1/n, ..., 1.  Stochastic integrals are
 discretized as left-endpoint sums.  Tabulation draws are indexed by
 stream id (one stream per draw from the dedicated limit-draw namespace), so
 tables are reproducible and independent of any batching or scheduling.
+Draws come in cache-sized blocks of at most ``_BLOCK_BYTES`` of normals,
+each reduced to its draws while still in cache, so memory stays bounded by
+that budget whatever the number of draws.
 """
 
 import math
@@ -32,8 +35,8 @@ FUNCTIONAL_KINDS = ("supabsbb", "supqp", "supabslurcusum", "cvmp1trace")
 #: default grid resolution for tabulation
 DEFAULT_N_STEPS = 2000
 
-#: draws simulated per generation block during tabulation
-_BLOCK = 1024
+#: bytes of standard normals drawn and reduced at once during tabulation
+_BLOCK_BYTES = 4 << 20
 
 
 @dataclass
@@ -114,8 +117,8 @@ def simulate_bridge(n_steps, stream):
         raise SpecError(f"n_steps must be at least 2, got {n_steps}")
     z = stream.standard_normal(n_steps)
     w = np.concatenate([[0.0], np.cumsum(z) * (1.0 / math.sqrt(n_steps))])
-    grid = np.arange(n_steps + 1) / n_steps
-    return PathGrid(n_steps=n_steps, values=w - grid * w[-1])
+    kernels.bridge_in_place(w[1:])
+    return PathGrid(n_steps=n_steps, values=w)
 
 
 def simulate_qp_sup(p, nu, n_steps, stream):
@@ -128,9 +131,8 @@ def simulate_qp_sup(p, nu, n_steps, stream):
         raise SpecError(f"dimension p must be >= 1, got {p}")
     if not 0.0 < nu < 0.5:
         raise SpecError(f"supqp requires trimming 0 < nu < 0.5, got {nu}")
-    z = stream.standard_normal((p, n_steps))
     j_lo, j_hi = _trim_indices(n_steps, nu, interior=True)
-    return float(kernels.qp_sup(z[None], j_lo, j_hi)[0])
+    return float(kernels.qp_sup(stream.standard_normal((1, p, n_steps)), j_lo, j_hi)[0])
 
 
 def simulate_ou(c, n_steps, stream, x0=0.0, horizon=1.0):
@@ -156,7 +158,9 @@ def simulate_ou(c, n_steps, stream, x0=0.0, horizon=1.0):
 def _correlated_increments(z, corr, n_steps):
     sdt = math.sqrt(1.0 / n_steps)
     dbe = z[..., 0, :] * sdt
-    dbu = (corr * z[..., 0, :] + math.sqrt(1.0 - corr * corr) * z[..., 1, :]) * sdt
+    dbu = corr * z[..., 0, :]
+    dbu += math.sqrt(1.0 - corr * corr) * z[..., 1, :]
+    dbu *= sdt
     return dbe, dbu
 
 
@@ -173,8 +177,7 @@ def simulate_lur_cusum_limit(c, corr, n_steps, stream):
     if not math.isfinite(c):
         raise SpecError(f"persistence c must be finite, got {c}")
     z = stream.standard_normal((2, n_steps))
-    dbe, dbu = _correlated_increments(z, corr, n_steps)
-    return float(kernels.lur_cusum_sup(dbe[None], dbu[None], c)[0])
+    return float(kernels.lur_cusum_sup(*_correlated_increments(z[None], corr, n_steps), c)[0])
 
 
 def _coint_t_from_draws(z, extra, phi):
@@ -211,20 +214,19 @@ def simulate_cointegration_tstat_limit(phi_ratio, n_steps, stream):
 def _cvm_from_increments(z):
     """Per-row left-sum quadrature of the squared bridge."""
     B, n = z.shape
-    w = np.cumsum(z, axis=1) * (1.0 / math.sqrt(n))
-    w1 = w[:, -1]
-    frac = np.arange(1, n + 1) / n
-    bb = w - frac * w1[:, None]
-    bb_prev = np.concatenate([np.zeros((B, 1)), bb[:, :-1]], axis=1)
-    return np.sum(bb_prev * bb_prev, axis=1) / n
+    w = np.zeros((B, n + 1))
+    bb = np.cumsum(z, axis=1, out=w[:, 1:])
+    bb *= 1.0 / math.sqrt(n)
+    kernels.bridge_in_place(bb)
+    np.multiply(w, w, out=w)
+    return np.sum(w[:, :-1], axis=1) / n
 
 
 def simulate_cvm_p1(n_steps, stream):
     """One draw of the integrated squared bridge (grid quadrature)."""
     if n_steps < 2:
         raise SpecError(f"n_steps must be at least 2, got {n_steps}")
-    z = stream.standard_normal(n_steps)
-    return float(_cvm_from_increments(z[None])[0])
+    return float(_cvm_from_increments(stream.standard_normal((1, n_steps)))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -232,17 +234,26 @@ def simulate_cvm_p1(n_steps, stream):
 # ---------------------------------------------------------------------------
 
 def _draw_block(kind, master_seed, lo, hi, n_steps, p, nu, c, corr):
+    """Draws lo..hi-1 of ``kind``, in sub-blocks of at most ``_BLOCK_BYTES`` of normals."""
     if kind not in FUNCTIONAL_KINDS:
         raise SpecError(f"unknown functional kind {kind!r}; expected one of {FUNCTIONAL_KINDS}")
     shape = {"supqp": (p, n_steps), "supabslurcusum": (2, n_steps)}.get(kind, (n_steps,))
-    z = limit_draw_stream(master_seed, range(lo, hi)).normal_rows(shape)
-    if kind == "supabsbb":
-        return kernels.bridge_sup(z, *_trim_indices(n_steps, nu, interior=False))
-    if kind == "supqp":
-        return kernels.qp_sup(z, *_trim_indices(n_steps, nu, interior=True))
-    if kind == "supabslurcusum":
-        return kernels.lur_cusum_sup(*_correlated_increments(z, corr, n_steps), c)
-    return _cvm_from_increments(z)
+
+    def reduce(z):
+        if kind == "supabsbb":
+            return kernels.bridge_sup(z, *_trim_indices(n_steps, nu, interior=False))
+        if kind == "supqp":
+            return kernels.qp_sup(z, *_trim_indices(n_steps, nu, interior=True))
+        if kind == "supabslurcusum":
+            return kernels.lur_cusum_sup(*_correlated_increments(z, corr, n_steps), c)
+        return _cvm_from_increments(z)
+
+    rows = max(1, _BLOCK_BYTES // (8 * math.prod(shape)))
+    draws = np.empty(hi - lo)
+    for start in range(lo, hi, rows):
+        z = limit_draw_stream(master_seed, range(start, min(start + rows, hi))).normal_rows(shape)
+        draws[start - lo : start - lo + rows] = reduce(z)
+    return draws
 
 
 def tabulate(
@@ -278,10 +289,6 @@ def tabulate(
     CriticalValueTable
         Empirical type-1 quantiles with full provenance in ``meta``.
     """
-    if functional_kind not in FUNCTIONAL_KINDS:
-        raise SpecError(
-            f"unknown functional kind {functional_kind!r}; expected one of {FUNCTIONAL_KINDS}"
-        )
     if n_reps < 1000:
         raise SpecError(f"tabulation needs n_reps >= 1000, got {n_reps}")
     levels = [float(lv) for lv in levels]
@@ -296,12 +303,7 @@ def tabulate(
         if not -1.0 <= corr <= 1.0:
             raise SpecError(f"corr must lie in [-1, 1], got {corr}")
 
-    draws = np.empty(n_reps)
-    for lo in range(0, n_reps, _BLOCK):
-        hi = min(lo + _BLOCK, n_reps)
-        draws[lo:hi] = _draw_block(
-            functional_kind, master_seed, lo, hi, n_steps, p, nu, c, corr
-        )
+    draws = _draw_block(functional_kind, master_seed, 0, n_reps, n_steps, p, nu, c, corr)
     draws.sort()
     quantiles = {lv: type1_quantile(draws, lv) for lv in sorted(levels)}
     return CriticalValueTable(

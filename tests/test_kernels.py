@@ -11,6 +11,7 @@ from breaklab.kernels import (
     qp_sup,
     wald_scan,
 )
+from breaklab.limit_lab import _cvm_from_increments
 
 # ---------------------------------------------------------------------------
 # ar1_path
@@ -136,6 +137,30 @@ def test_lur_kernel_c_zero_reduces_toward_plain_bridge():
     out = lur_cusum_sup(z[:, 0, :] * sdt, z[:, 1, :] * sdt, 0.0)
     assert np.isfinite(out).all()
     assert (out >= 0).all()
+
+
+_Z = np.random.default_rng(16).standard_normal((6, 2, 90))
+
+
+@pytest.mark.parametrize(
+    "kernel,args",
+    [
+        (bridge_sup, (_Z[:, 0].copy(), 0, 90)),
+        (qp_sup, (_Z.copy(), 10, 80)),
+        (lur_cusum_sup, (_Z[:, 0] * 0.1, _Z[:, 1] * 0.1, -5.0)),
+        (_cvm_from_increments, (_Z[:, 1].copy(),)),
+    ],
+    ids=["bridge_sup", "qp_sup", "lur_cusum_sup", "cvm_from_increments"],
+)
+def test_limit_kernels_leave_their_inputs_unchanged(kernel, args):
+    # C-contiguous float64 inputs reach the kernels without a defensive copy,
+    # so an in-place update of one would show here
+    arrays = [a for a in args if isinstance(a, np.ndarray)]
+    assert all(a.flags.c_contiguous and a.dtype == np.float64 for a in arrays)
+    before = [a.copy() for a in arrays]
+    kernel(*args)
+    for a, b in zip(arrays, before):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("rho", [1.0, 0.99, 0.6, 1.2])

@@ -1,14 +1,20 @@
 """Limit-process simulators against closed-form and series oracles."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from breaklab import limit_lab
 from breaklab.errors import DataError, SpecError, TableLookupError
 from breaklab.limit_lab import (
+    FUNCTIONAL_KINDS,
     CriticalValueTable,
     _coint_t_from_draws,
     _cvm_from_increments,
@@ -338,6 +344,49 @@ def test_tabulate_draws_match_single_draw_ops():
         simulate_qp_sup(2, 0.15, 300, limit_draw_stream(table_seed, i)) for i in range(8)
     ]
     assert_allclose(batch, singles, rtol=0, atol=0)
+
+
+#: (nu, c, corr) of each kind's draws; supqp takes its p from the example
+_DRAW_PARAMS = {
+    "supabsbb": (0.1, None, None),
+    "supqp": (0.15, None, None),
+    "supabslurcusum": (0.0, -5.0, -0.5),
+    "cvmp1trace": (0.0, None, None),
+}
+
+
+@pytest.mark.parametrize("kind", FUNCTIONAL_KINDS)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    lo=st.integers(0, 300),
+    size=st.integers(1, 40),
+    n_steps=st.integers(10, 300),
+    p=st.integers(1, 3),
+    rows=st.integers(2, 9),
+)
+def test_draw_block_does_not_depend_on_the_sub_block_budget(kind, lo, size, n_steps, p, rows):
+    args = (kind, 11, lo, lo + size, n_steps, p, *_DRAW_PARAMS[kind])
+    default = _draw_block(*args)
+    row_bytes = 8 * n_steps * {"supqp": p, "supabslurcusum": 2}.get(kind, 1)
+    for budget in (1, rows * row_bytes):  # one draw per sub-block, then `rows` draws
+        with mock.patch.object(limit_lab, "_BLOCK_BYTES", budget):
+            assert _draw_block(*args).tobytes() == default.tobytes()
+
+
+def test_tabulation_memory_is_bounded_by_the_block_budget():
+    # A sub-block holds at most _BLOCK_BYTES of normals.  The supabslurcusum
+    # reduction keeps at most eight arrays of half that size alive at once
+    # (the normals, both increments, the lagged persistence path, the
+    # correction, the bridge and one temporary), so four budgets; one more
+    # covers the draws and everything small.
+    bound = 5 * limit_lab._BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        tabulate("supabslurcusum", [0.95], 4096, n_steps=2000, c=-5.0, corr=-0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_table_json_round_trip(tmp_path):

@@ -1,5 +1,6 @@
 """The run path needs numpy alone: generation, simulation, tabulation and
-the engine never import scipy (the tests themselves may)."""
+the engine never import scipy (the tests themselves may).  A serial run
+never loads multiprocessing either: only a worker pool needs it."""
 
 import os
 import subprocess
@@ -38,3 +39,32 @@ def test_run_path_never_imports_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "d.csv").read_text().startswith("t,y,x1,x2\n")
+
+
+SERIAL_SCRIPT = """
+import sys
+
+from breaklab import experiments
+from breaklab.cli import main
+
+assert main(["simulate", "--family", "location", "--T", "50", "--out", sys.argv[1] + "/d.csv"]) == 0
+assert main(["critvals", "--kind", "supabsbb", "--reps", "1000", "--steps", "50", "--out", sys.argv[1] + "/t.json"]) == 0
+spec = experiments.experiment_from_config({
+    "n_reps": 100,
+    "stat_kinds": ["cusum"],
+    "table_source": {"mode": "inline", "n_reps": 1000, "n_steps": 50},
+    "dgp_grid": [{"family": "location", "T": 30}],
+})
+experiments.run_experiment(spec, workers=1)
+assert "multiprocessing" not in sys.modules, sorted(m for m in sys.modules if m.startswith("multiprocessing"))
+"""
+
+
+def test_serial_runs_never_import_multiprocessing(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", SERIAL_SCRIPT, str(tmp_path)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "t.json").is_file()
