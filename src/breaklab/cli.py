@@ -40,10 +40,6 @@ def _coef_list(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _level_list(text):
-    return _coef_list(text)
-
-
 def build_parser():
     parser = _Parser(prog="breaklab", description=__doc__.splitlines()[0])
     parser.add_argument("-v", "--verbose", action="count", default=0, help="more logging (repeatable)")
@@ -112,7 +108,7 @@ def build_parser():
     cvs.add_argument("--corr", type=float, help="innovation correlation (supabslurcusum)")
     cvs.add_argument("--reps", type=int, default=100000, help="number of draws (>= 1000)")
     cvs.add_argument("--steps", type=int, default=limit_lab.DEFAULT_N_STEPS, help="grid resolution")
-    cvs.add_argument("--levels", type=_level_list, default=[0.90, 0.95, 0.99], help="quantile levels")
+    cvs.add_argument("--levels", type=_coef_list, default=[0.90, 0.95, 0.99], help="quantile levels")
     cvs.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED, help="master seed (default 0xC0FFEE)")
     cvs.add_argument("--out", required=True, help="output JSON path")
     cvs.set_defaults(handler=cmd_critvals)

@@ -122,10 +122,6 @@ class DgpSpec:
         k = math.floor(self.T * self.s)
         return min(max(k, 1), self.T - 1)
 
-    @property
-    def has_break(self):
-        return self.params_pre != self.params_post and 0.0 < self.s < 1.0
-
 
 @dataclass
 class Sample:

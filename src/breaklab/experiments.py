@@ -184,27 +184,29 @@ def required_table_keys(spec):
 def resolve_tables(spec):
     """Map every required (table_kind, p, nu) to a CriticalValueTable.
 
-    Raises :class:`TableLookupError` when a table is missing or lacks the
-    quantile at ``1 - spec.level``.
+    Raises :class:`TableLookupError` when a table is missing, when two
+    precomputed files cover the same key, or when a table lacks the quantile
+    at ``1 - spec.level``.  Inline keys are all checked before any is drawn.
     """
     keys = required_table_keys(spec)
     ts = spec.table_source
     tables = {}
     if ts.mode == "precomputed":
-        loaded = [limit_lab.load_table(path) for path in ts.paths]
+        loaded = {path: limit_lab.load_table(path) for path in ts.paths}
         for key in keys:
             kind, p, nu = key
             match = [
-                t
-                for t in loaded
+                path
+                for path, t in loaded.items()
                 if t.functional_kind == kind and t.p == p and abs(t.nu - nu) <= 1e-12
             ]
-            if not match:
-                raise TableLookupError(
-                    f"no precomputed table covers ({kind}, p={p}, nu={nu:g})"
-                )
-            tables[key] = match[0]
+            if len(match) != 1:
+                found = " and ".join(match[:2]) + " both cover" if match else "no precomputed table covers"
+                raise TableLookupError(f"{found} ({kind}, p={p}, nu={nu:g})")
+            tables[key] = loaded[match[0]]
     else:
+        for kind, p, nu in keys:
+            limit_lab.check_functional(kind, ts.n_steps, p, nu)
         for key in sorted(keys):
             kind, p, nu = key
             log.info("simulating critical values for (%s, p=%d, nu=%g)", kind, p, nu)

@@ -10,7 +10,10 @@ The functionals simulated here are the null limits of the break statistics:
                          cross-correlation)
 * ``cvmp1trace``      -- the integrated squared bridge
 
-Paths live on the uniform grid 0, 1/n, ..., 1.  Stochastic integrals are
+Each kind is defined once, by its draw shape and parameter rules in
+:func:`check_functional` and its reduction of normals to draws in
+``_reduce``; tabulation, single draws and table loading share both.  Paths
+live on the uniform grid 0, 1/n, ..., 1.  Stochastic integrals are
 discretized as left-endpoint sums.  Tabulation draws are indexed by
 stream id (one stream per draw from the dedicated limit-draw namespace), so
 tables are reproducible and independent of any batching or scheduling.
@@ -50,10 +53,6 @@ class PathGrid:
     n_steps: int
     values: np.ndarray
 
-    @property
-    def grid(self):
-        return np.arange(self.n_steps + 1) / self.n_steps
-
 
 @dataclass(frozen=True)
 class CriticalValueTable:
@@ -84,18 +83,6 @@ class CriticalValueTable:
         )
 
 
-def _trim_indices(n_steps, nu, interior):
-    """Grid indices covering [nu, 1-nu]; interior grids exclude the endpoints."""
-    if not 0.0 <= nu < 0.5:
-        raise SpecError(f"trimming nu must lie in [0, 0.5), got {nu}")
-    j_lo = int(math.ceil(nu * n_steps - 1e-9))
-    j_hi = int(math.floor((1.0 - nu) * n_steps + 1e-9))
-    if interior:
-        j_lo = max(j_lo, 1)
-        j_hi = min(j_hi, n_steps - 1)
-    return j_lo, j_hi
-
-
 def type1_quantile(sorted_values, level):
     """Order statistic at ceil(level * n), on an ascending array."""
     n = sorted_values.shape[0]
@@ -104,8 +91,61 @@ def type1_quantile(sorted_values, level):
 
 
 # ---------------------------------------------------------------------------
-# single-draw simulators
+# limit functionals and single draws
 # ---------------------------------------------------------------------------
+
+def check_functional(kind, n_steps, p, nu, c=None, corr=None):
+    """Draw shape of ``kind`` and its checked ``(n_steps, p, nu, c, corr)``.
+
+    A :class:`SpecError` names the first parameter that breaks a rule.  A
+    ``corr`` of None reads as 0 for ``supabslurcusum``, the one kind using it.
+    """
+    if kind not in FUNCTIONAL_KINDS:
+        raise SpecError(f"unknown functional kind {kind!r}; expected one of {FUNCTIONAL_KINDS}")
+    if n_steps < 2:
+        raise SpecError(f"n_steps must be at least 2, got {n_steps}")
+    if p < 1:
+        raise SpecError(f"dimension p must be >= 1, got {p}")
+    if not (0.0 < nu < 0.5 or nu == 0.0 and kind != "supqp"):
+        raise SpecError(f"{kind} needs trimming nu in {'(0' if kind == 'supqp' else '[0'}, 0.5), got {nu}")
+    if kind == "supabslurcusum":
+        if c is None or not math.isfinite(c):
+            raise SpecError(f"supabslurcusum requires a finite persistence c, got {c}")
+        corr = 0.0 if corr is None else corr
+    if corr is not None and not -1.0 <= corr <= 1.0:
+        raise SpecError(f"corr must lie in [-1, 1], got {corr}")
+    shape = {"supqp": (p, n_steps), "supabslurcusum": (2, n_steps)}.get(kind, (n_steps,))
+    return shape, (n_steps, p, nu, c, corr)
+
+
+def _reduce(kind, z, nu, c, corr):
+    """One value of ``kind`` per draw in ``z``, a stack of normals of its checked draw shape.
+
+    Kernels are looked up on :mod:`kernels` at each call, so tracing can wrap them.
+    """
+    n_steps = z.shape[-1]
+    # interior grid points in [nu, 1-nu]; a bridge is zero at both ends anyway
+    j_lo = max(math.ceil(nu * n_steps - 1e-9), 1)
+    j_hi = min(math.floor((1.0 - nu) * n_steps + 1e-9), n_steps - 1)
+    if kind == "supabsbb":
+        return kernels.bridge_sup(z, j_lo, j_hi)
+    if kind == "supqp":
+        return kernels.qp_sup(z, j_lo, j_hi)
+    if kind == "supabslurcusum":
+        # error and regressor motions with correlation corr, both scaled by sqrt(dt)
+        sdt = math.sqrt(1.0 / n_steps)
+        dbe = z[:, 0] * sdt
+        dbu = corr * z[:, 0]
+        dbu += math.sqrt(1.0 - corr * corr) * z[:, 1]
+        dbu *= sdt
+        return kernels.lur_cusum_sup(dbe, dbu, c)
+    return _cvm_from_increments(z)
+
+
+def _draw_one(kind, stream, n_steps, p=1, nu=0.0, c=None, corr=None):
+    shape, (n_steps, p, nu, c, corr) = check_functional(kind, n_steps, p, nu, c, corr)
+    return float(_reduce(kind, stream.standard_normal((1, *shape)), nu, c, corr)[0])
+
 
 def simulate_bridge(n_steps, stream):
     """One Brownian bridge path W(s) - s W(1) on the uniform grid.
@@ -113,8 +153,7 @@ def simulate_bridge(n_steps, stream):
     The underlying motion is built from scaled Gaussian increments, so the
     path is pinned to zero at both ends by construction.
     """
-    if n_steps < 2:
-        raise SpecError(f"n_steps must be at least 2, got {n_steps}")
+    check_functional("supabsbb", n_steps, 1, 0.0)
     z = stream.standard_normal(n_steps)
     w = np.concatenate([[0.0], np.cumsum(z) * (1.0 / math.sqrt(n_steps))])
     kernels.bridge_in_place(w[1:])
@@ -127,12 +166,7 @@ def simulate_qp_sup(p, nu, n_steps, stream):
     Coordinates are independent; the sup runs over grid points inside
     [nu, 1-nu], endpoints included.
     """
-    if p < 1:
-        raise SpecError(f"dimension p must be >= 1, got {p}")
-    if not 0.0 < nu < 0.5:
-        raise SpecError(f"supqp requires trimming 0 < nu < 0.5, got {nu}")
-    j_lo, j_hi = _trim_indices(n_steps, nu, interior=True)
-    return float(kernels.qp_sup(stream.standard_normal((1, p, n_steps)), j_lo, j_hi)[0])
+    return _draw_one("supqp", stream, n_steps, p, nu)
 
 
 def simulate_ou(c, n_steps, stream, x0=0.0, horizon=1.0):
@@ -155,15 +189,6 @@ def simulate_ou(c, n_steps, stream, x0=0.0, horizon=1.0):
     return PathGrid(n_steps=n_steps, values=np.concatenate([[x0], path]))
 
 
-def _correlated_increments(z, corr, n_steps):
-    sdt = math.sqrt(1.0 / n_steps)
-    dbe = z[..., 0, :] * sdt
-    dbu = corr * z[..., 0, :]
-    dbu += math.sqrt(1.0 - corr * corr) * z[..., 1, :]
-    dbu *= sdt
-    return dbe, dbu
-
-
 def simulate_lur_cusum_limit(c, corr, n_steps, stream):
     """One draw of the sup of the persistence-contaminated bridge.
 
@@ -172,12 +197,7 @@ def simulate_lur_cusum_limit(c, corr, n_steps, stream):
     motions are standardized to unit variance.  The correction vanishes as
     c -> -inf, recovering the pivotal bridge limit.
     """
-    if not -1.0 <= corr <= 1.0:
-        raise SpecError(f"corr must lie in [-1, 1], got {corr}")
-    if not math.isfinite(c):
-        raise SpecError(f"persistence c must be finite, got {c}")
-    z = stream.standard_normal((2, n_steps))
-    return float(kernels.lur_cusum_sup(*_correlated_increments(z[None], corr, n_steps), c)[0])
+    return _draw_one("supabslurcusum", stream, n_steps, c=c, corr=corr)
 
 
 def _coint_t_from_draws(z, extra, phi):
@@ -224,9 +244,7 @@ def _cvm_from_increments(z):
 
 def simulate_cvm_p1(n_steps, stream):
     """One draw of the integrated squared bridge (grid quadrature)."""
-    if n_steps < 2:
-        raise SpecError(f"n_steps must be at least 2, got {n_steps}")
-    return float(_cvm_from_increments(stream.standard_normal((1, n_steps)))[0])
+    return _draw_one("cvmp1trace", stream, n_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -235,24 +253,12 @@ def simulate_cvm_p1(n_steps, stream):
 
 def _draw_block(kind, master_seed, lo, hi, n_steps, p, nu, c, corr):
     """Draws lo..hi-1 of ``kind``, in sub-blocks of at most ``_BLOCK_BYTES`` of normals."""
-    if kind not in FUNCTIONAL_KINDS:
-        raise SpecError(f"unknown functional kind {kind!r}; expected one of {FUNCTIONAL_KINDS}")
-    shape = {"supqp": (p, n_steps), "supabslurcusum": (2, n_steps)}.get(kind, (n_steps,))
-
-    def reduce(z):
-        if kind == "supabsbb":
-            return kernels.bridge_sup(z, *_trim_indices(n_steps, nu, interior=False))
-        if kind == "supqp":
-            return kernels.qp_sup(z, *_trim_indices(n_steps, nu, interior=True))
-        if kind == "supabslurcusum":
-            return kernels.lur_cusum_sup(*_correlated_increments(z, corr, n_steps), c)
-        return _cvm_from_increments(z)
-
+    shape, (n_steps, p, nu, c, corr) = check_functional(kind, n_steps, p, nu, c, corr)
     rows = max(1, _BLOCK_BYTES // (8 * math.prod(shape)))
     draws = np.empty(hi - lo)
     for start in range(lo, hi, rows):
         z = limit_draw_stream(master_seed, range(start, min(start + rows, hi))).normal_rows(shape)
-        draws[start - lo : start - lo + rows] = reduce(z)
+        draws[start - lo : start - lo + rows] = _reduce(kind, z, nu, c, corr)
     return draws
 
 
@@ -294,14 +300,7 @@ def tabulate(
     levels = [float(lv) for lv in levels]
     if not levels or any(not 0.0 < lv < 1.0 for lv in levels):
         raise SpecError(f"quantile levels must lie in (0, 1), got {levels}")
-    if functional_kind == "supqp" and not 0.0 < nu < 0.5:
-        raise SpecError(f"supqp requires trimming 0 < nu < 0.5, got {nu}")
-    if functional_kind == "supabslurcusum":
-        if c is None:
-            raise SpecError("supabslurcusum requires the persistence parameter c")
-        corr = 0.0 if corr is None else float(corr)
-        if not -1.0 <= corr <= 1.0:
-            raise SpecError(f"corr must lie in [-1, 1], got {corr}")
+    _, (n_steps, p, nu, c, corr) = check_functional(functional_kind, n_steps, p, nu, c, corr)
 
     draws = _draw_block(functional_kind, master_seed, 0, n_reps, n_steps, p, nu, c, corr)
     draws.sort()
@@ -353,7 +352,7 @@ def table_from_json_dict(payload):
 
     try:
         levels, meta = mapping("levels"), mapping("meta")
-        return CriticalValueTable(
+        table = CriticalValueTable(
             functional_kind=payload["kind"],
             p=field(int, payload["p"], "p"),
             nu=field(float, payload["nu"], "nu"),
@@ -366,8 +365,14 @@ def table_from_json_dict(payload):
                 "master_seed": field(int, meta["seed"], "meta.seed"),
             },
         )
+        check_functional(table.functional_kind, table.meta["n_steps"], table.p, table.nu, table.c, table.corr)
     except KeyError as exc:
         raise DataError(f"critical-value table is missing field {exc}") from exc
+    except SpecError as exc:
+        raise DataError(f"critical-value table does not define a limit functional: {exc}") from exc
+    if not all(map(math.isfinite, table.quantiles.values())):
+        raise DataError(f"critical-value table field 'levels' must hold finite quantiles, got {levels}")
+    return table
 
 
 def save_table(table, path):

@@ -316,3 +316,53 @@ def test_string_table_paths_exit_2_naming_the_field(tmp_path, capfd):
     assert main(["experiment", "--spec", str(path), "--out", str(tmp_path / "out.csv")]) == 2
     err = capfd.readouterr().err
     assert "table_source key 'paths'" in err and "Traceback" not in err
+
+
+
+@pytest.mark.parametrize(
+    "command,arg,named",
+    [
+        ("critvals", ["--kind", "supabslurcusum", "--c", "nan"], "persistence c"),
+        ("critvals", ["--kind", "supabslurcusum", "--c", "inf"], "persistence c"),
+        ("critvals", ["--kind", "supabsbb", "--steps", "1"], "n_steps"),
+        ("critvals", ["--kind", "supabsbb", "--steps", "0"], "n_steps"),
+        ("critvals", ["--kind", "supqp", "--p", "0"], "dimension p"),
+        ("experiment", {"mode": "inline", "n_reps": 1000, "n_steps": 0}, "n_steps"),
+        ("experiment", {"mode": "inline", "n_reps": 1000, "n_steps": 1}, "n_steps"),
+        ("test", {**_TABLE, "levels": {"0.95": float("nan")}}, "'levels'"),
+        ("test", {**_TABLE, "meta": {**_TABLE["meta"], "n_steps": 1}}, "n_steps"),
+        (
+            "experiment",
+            {"mode": "precomputed", "paths": ["a.json", "b.json"]},
+            "a.json and b.json both cover (supabsbb, p=1, nu=0)",
+        ),
+    ],
+    ids=["c-nan", "c-inf", "steps-1", "steps-0", "p-0", "table-source-steps-0", "table-source-steps-1",
+         "nan-quantile", "table-steps-1", "duplicate-tables"],
+)
+def test_bad_functional_or_table_exits_2_before_any_draw(tmp_path, capfd, monkeypatch, command, arg, named):
+    from breaklab import rng
+
+    monkeypatch.chdir(tmp_path)
+    if command == "critvals":
+        argv = ["critvals", "--reps", "1000", "--steps", "50", *arg, "--out", "t.json"]
+    elif command == "experiment":
+        for name in ("a.json", "b.json"):  # two tables for one key
+            (tmp_path / name).write_text(json.dumps(_TABLE))
+        (tmp_path / "spec.json").write_text(json.dumps({**_SPEC, "table_source": arg}))
+        argv = ["experiment", "--spec", "spec.json", "--out", "out.csv"]
+    else:
+        (tmp_path / "t.json").write_text(json.dumps(arg))
+        (tmp_path / "d.csv").write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
+        argv = ["test", "--stat", "cusum", "--input", "d.csv", "--critvals", "t.json"]
+    drawn = []
+    real_normal_rows = rng.StreamStack.normal_rows
+    monkeypatch.setattr(
+        rng.StreamStack,
+        "normal_rows",
+        lambda self, shape: drawn.append(shape) or real_normal_rows(self, shape),
+    )
+    assert main(argv) == 2
+    err = capfd.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert drawn == []

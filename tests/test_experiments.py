@@ -347,3 +347,21 @@ def test_paths_sample_dump(tmp_path):
     # one row per scanned k per dumped path
     k_lo, k_hi = 1, 59
     assert len(lines) == 1 + 3 * (k_hi - k_lo + 1)
+
+
+def test_inline_table_keys_are_all_checked_before_any_is_drawn(monkeypatch):
+    # nu = 0 suits the cusum's supabsbb table, which sorts first, but not the
+    # wald's supqp table: the spec fails on supqp before supabsbb is drawn
+    from breaklab import rng
+
+    drawn = []
+    real_normal_rows = rng.StreamStack.normal_rows
+    monkeypatch.setattr(
+        rng.StreamStack,
+        "normal_rows",
+        lambda self, shape: drawn.append(shape) or real_normal_rows(self, shape),
+    )
+    spec = _small_spec(stat_kinds=("cusum", "wald"), nu=0.0)
+    with pytest.raises(SpecError, match="supqp"):
+        run_experiment(spec)
+    assert drawn == []

@@ -429,3 +429,18 @@ def test_table_nested_fields_must_be_objects(field, value):
     payload[field] = value
     with pytest.raises(DataError, match=f"'{field}' must be a JSON object"):
         table_from_json_dict(payload)
+
+
+@pytest.mark.parametrize("n_steps", [2, 3, 137, 2000])
+def test_single_draw_simulators_match_draw_block_rows(n_steps):
+    seed, lo, hi = 78, 3, 12
+    streams = [limit_draw_stream(seed, i) for i in range(lo, hi)]
+    lur = [simulate_lur_cusum_limit(-5.0, -0.5, n_steps, s) for s in streams]
+    assert _draw_block(
+        "supabslurcusum", seed, lo, hi, n_steps, 1, 0.0, -5.0, -0.5
+    ).tobytes() == np.array(lur).tobytes()
+    streams = [limit_draw_stream(seed, i) for i in range(lo, hi)]
+    cvm = [simulate_cvm_p1(n_steps, s) for s in streams]
+    assert _draw_block(
+        "cvmp1trace", seed, lo, hi, n_steps, 1, 0.0, None, None
+    ).tobytes() == np.array(cvm).tobytes()
