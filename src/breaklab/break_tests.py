@@ -78,30 +78,6 @@ class TestOutcome:
         }
 
 
-def _nondegenerate(fit):
-    """Whether a fit's residual variance is nonzero relative to the data.
-
-    The threshold is relative to the fitted values so that exactly- or
-    numerically-constant samples fail while genuinely noisy ones never do.
-    Works row-wise on a fit of stacked samples.
-    """
-    scale = np.mean(((fit.design @ fit.beta_hat[..., None])[..., 0]) ** 2, axis=-1)
-    return ~((fit.sigma_hat_sq <= 0.0) | (fit.sigma_hat_sq <= 1e-20 * scale))
-
-
-def _usable(fit):
-    """Where the statistics are defined on ``fit``.
-
-    One sample: True, or :class:`DegenerateSampleError`.  A stack: the mask
-    of replications with a full-rank, nondegenerate pooled fit.
-    """
-    if np.ndim(fit.sigma_hat_sq) == 0:
-        if not _nondegenerate(fit):
-            raise DegenerateSampleError("residual variance is zero; statistic undefined")
-        return True
-    return fit.full_rank & _nondegenerate(fit)
-
-
 def scan_range(T, p, nu):
     """Candidate break indices: k_min = max(floor(nu*T), p), k_max = T - k_min."""
     if not 0.0 <= nu < 0.5:
@@ -133,27 +109,25 @@ def _sup_over_path(path, sided):
     return np.where(missing.all(axis=-1), np.nan, sup), best
 
 
-def _finish(kind, ks, path, nu, design_dim, sided, valid=True, skipped=()):
-    p = STAT_RECIPES[kind].limit_dim(design_dim)
-    if path.ndim == 2:
-        path = np.where(valid[:, None], path, np.nan)
-        sup, best = _sup_over_path(path, sided)
-        argmax_k = np.where(np.isnan(sup), -1, ks[best])
-        return TestOutcome(kind, ks, path, sup, argmax_k, float(nu), p, sided, skipped)
+def _scan_setup(kind, fit, nu):
+    """Rows of ``fit`` the statistic is defined on, its trimming (None: the
+    kind's default) and scan range; one degenerate sample raises."""
+    if np.ndim(fit.usable) == 0 and not fit.usable:
+        raise DegenerateSampleError("residual variance is zero; statistic undefined")
+    nu = STAT_RECIPES[kind].default_nu if nu is None else nu
+    return fit.usable, nu, scan_range(fit.n_obs, fit.p, nu)
+
+
+def _finish(kind, ks, path, nu, design_dim, sided, valid, skipped=()):
+    path = np.where(np.expand_dims(valid, -1), path, np.nan)
     sup, best = _sup_over_path(path, sided)
-    if np.isnan(sup):
-        raise NumericalError(f"{kind}: no candidate break index was computable")
-    return TestOutcome(
-        statistic_kind=kind,
-        ks=ks,
-        path=path,
-        sup_value=float(sup),
-        argmax_k=int(ks[best]),
-        nu=float(nu),
-        p=p,
-        sided=sided,
-        skipped=tuple(int(k) for k in skipped),
-    )
+    argmax_k = np.where(np.isnan(sup), -1, ks[best])
+    if np.ndim(sup) == 0:  # one sample: plain values, or no outcome at all
+        if np.isnan(sup):
+            raise NumericalError(f"{kind}: no candidate break index was computable")
+        sup, argmax_k, skipped = float(sup), int(argmax_k), tuple(int(k) for k in skipped)
+    p = STAT_RECIPES[kind].limit_dim(design_dim)
+    return TestOutcome(kind, ks, path, sup, argmax_k, float(nu), p, sided, skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +162,9 @@ def cusum_path(fit, nu=None, sided=TWO_SIDED_ABS):
         ``two_sided_abs`` (default) takes the sup of |path|; ``signed``
         takes the sup of the path itself.
     """
-    valid = _usable(fit)
-    T = fit.n_obs
-    nu = STAT_RECIPES["cusum"].default_nu if nu is None else nu
-    ks, centered = _bridge_centered(fit.residuals, *scan_range(T, fit.p, nu))
-    scale = np.sqrt(fit.sigma_hat_sq) * math.sqrt(T)
+    valid, nu, scan = _scan_setup("cusum", fit, nu)
+    ks, centered = _bridge_centered(fit.residuals, *scan)
+    scale = np.sqrt(fit.sigma_hat_sq) * math.sqrt(fit.n_obs)
     return _finish("cusum", ks, centered / np.expand_dims(scale, -1), nu, fit.p, sided, valid)
 
 
@@ -205,18 +177,16 @@ def cusum_sq_path(fit, nu=None, normalization=CUSUMSQ_NORM_SQ_SD, sided=TWO_SIDE
     residual standard deviation (the literal display form); that variant is
     not pivotal and exists for comparison.
     """
-    valid = _usable(fit)
-    T = fit.n_obs
+    valid, nu, scan = _scan_setup("cusumsq", fit, nu)
     sq = fit.residuals**2
-    nu = STAT_RECIPES["cusumsq"].default_nu if nu is None else nu
-    ks, centered = _bridge_centered(sq, *scan_range(T, fit.p, nu))
+    ks, centered = _bridge_centered(sq, *scan)
     if normalization == CUSUMSQ_NORM_SQ_SD:
         spread = np.mean((sq - np.mean(sq, axis=-1, keepdims=True)) ** 2, axis=-1)
     elif normalization == CUSUMSQ_NORM_RESID_SD:
         spread = fit.sigma_hat_sq
     else:
         raise SpecError(f"unknown cusumsq normalization {normalization!r}")
-    scale = np.expand_dims(np.sqrt(spread) * math.sqrt(T), -1)
+    scale = np.expand_dims(np.sqrt(spread) * math.sqrt(fit.n_obs), -1)
     # constant squared residuals: exactly centered path, no evidence
     with np.errstate(divide="ignore", invalid="ignore"):
         path = np.where(scale == 0.0, 0.0, centered / scale)
@@ -236,30 +206,25 @@ def _require_intercept_only(X):
 
 def _wald_outcome(kind, fit, nu, on_singular=ON_SINGULAR_SKIP):
     """Wald (or, on the intercept-only design, zmean) outcome of a pooled fit."""
-    valid = _usable(fit)
-    T, p = fit.design.shape[-2:]
-    nu = STAT_RECIPES[kind].default_nu if nu is None else nu
-    k_lo, k_hi = scan_range(T, p, nu)
-    vals, ok = kernels.wald_scan(
-        fit.design, fit.residuals, k_lo, k_hi, fit.sigma_hat_sq, kernels.GRAM_PIVOT_RTOL
-    )
+    valid, nu, (k_lo, k_hi) = _scan_setup(kind, fit, nu)
+    vals, ok = kernels.wald_scan(fit.design, fit.residuals, k_lo, k_hi, fit.sigma_hat_sq)
     ks = np.arange(k_lo, k_hi + 1)
-    if vals.ndim == 2:
-        if kind == "zmean":
-            valid = valid & _is_intercept_only(fit.design)
+    if kind == "zmean":
+        valid = valid & _is_intercept_only(fit.design)
+    if np.ndim(valid):
         skipped = np.where(valid, np.count_nonzero(~ok, axis=-1), 0)
-        return _finish(kind, ks, vals, nu, p, SIGNED, valid, skipped)
-    skipped = ks[~ok]
-    if skipped.size:
-        if on_singular == ON_SINGULAR_FAIL:
-            raise NumericalError(
-                f"{kind}: singular regime fit at k={int(skipped[0])}"
-                + (f" (+{skipped.size - 1} more)" if skipped.size > 1 else "")
+    else:  # one sample: the skipped ks themselves
+        skipped = ks[~ok]
+        if skipped.size:
+            if on_singular == ON_SINGULAR_FAIL:
+                raise NumericalError(
+                    f"{kind}: singular regime fit at k={int(skipped[0])}"
+                    + (f" (+{skipped.size - 1} more)" if skipped.size > 1 else "")
+                )
+            log.warning(
+                "%s: skipped %d candidate index(es) with singular regime fits", kind, skipped.size
             )
-        log.warning(
-            "%s: skipped %d candidate index(es) with singular regime fits", kind, skipped.size
-        )
-    return _finish(kind, ks, vals, nu, p, SIGNED, skipped=skipped)
+    return _finish(kind, ks, vals, nu, fit.p, SIGNED, valid, skipped)
 
 
 def z_mean_path(sample, nu=None):

@@ -21,15 +21,19 @@ class OlsFit:
     the fitted sample.  A fit of stacked samples carries the replication
     axis first in every field, and ``full_rank`` flags the samples whose
     design passed the rank check (the other rows hold no estimate).
+    ``usable`` flags where the statistics are defined: a full-rank fit whose
+    residual variance is neither <= 0 nor <= 1e-20 times the mean squared
+    fitted value, so exactly- or numerically-constant samples fail while
+    genuinely noisy ones never do.  Both flags are scalars for one sample.
     """
 
     beta_hat: np.ndarray
     residuals: np.ndarray
     sigma_hat_sq: float
-    xtx: np.ndarray
     design: np.ndarray
     sample_ref: str = ""
     full_rank: object = True
+    usable: object = True
 
     @property
     def n_obs(self):
@@ -76,7 +80,8 @@ def fit_xy(X, y, sample_ref=""):
     checked against ``GRAM_PIVOT_RTOL`` times the largest Gram diagonal.
     One rank-deficient sample raises :class:`SingularDesignError` naming the
     first design column that is linearly dependent on the ones before it; in
-    a stack, ``full_rank`` flags each sample instead.
+    a stack, ``full_rank`` flags each sample instead.  ``usable`` flags the
+    samples the statistics are defined on (see :class:`OlsFit`).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -88,20 +93,22 @@ def fit_xy(X, y, sample_ref=""):
     Xt = np.swapaxes(X, -1, -2)
     xtx = Xt @ X
     floor = GRAM_PIVOT_RTOL * np.max(np.diagonal(xtx, axis1=-2, axis2=-1), axis=-1)
-    lower, diag, bad = ldl(np.moveaxis(xtx, 0, -1) if X.ndim == 3 else xtx, floor)
+    lower, diag, bad = ldl(np.moveaxis(xtx, (-2, -1), (0, 1)), floor)
     if X.ndim == 2 and bad < p:
         raise SingularDesignError(int(bad))
     beta = ldl_solve(lower, diag, (Xt @ y[..., None])[..., 0].T).T
-    residuals = y - (X @ beta[..., None])[..., 0]
-    rss = (residuals[..., None, :] @ residuals[..., :, None])[..., 0, 0]
+    fitted = (X @ beta[..., None])[..., 0]
+    residuals = y - fitted
+    sigma_hat_sq = (residuals[..., None, :] @ residuals[..., :, None])[..., 0, 0] / T
+    degenerate = (sigma_hat_sq <= 0.0) | (sigma_hat_sq <= 1e-20 * np.mean(fitted**2, axis=-1))
     return OlsFit(
         beta_hat=beta,
         residuals=residuals,
-        sigma_hat_sq=rss / T if X.ndim == 3 else float(rss) / T,
-        xtx=xtx,
+        sigma_hat_sq=sigma_hat_sq,
         design=X,
         sample_ref=sample_ref,
         full_rank=bad == p,
+        usable=(bad == p) & ~degenerate,
     )
 
 

@@ -348,10 +348,8 @@ class McRow:
     failed: int
     reject_rate: float
     mc_se: float
-    mean_sup: float
     sup_q50: float
     sup_q95: float
-    master_seed: int
 
 
 @dataclass
@@ -371,14 +369,12 @@ def _aggregate(kind, nu, sups, cv, dspec, spec):
     if n_eff == 0:
         rate = float("nan")
         mc_se = float("nan")
-        mean_sup = float("nan")
         q50 = float("nan")
         q95 = float("nan")
     else:
         rejects = int(np.count_nonzero(good > cv))
         rate = rejects / n_eff
         mc_se = float(np.sqrt(rate * (1.0 - rate) / n_eff))
-        mean_sup = float(np.mean(good))
         ordered = np.sort(good)
         q50 = limit_lab.type1_quantile(ordered, 0.5)
         q95 = limit_lab.type1_quantile(ordered, 0.95)
@@ -395,10 +391,8 @@ def _aggregate(kind, nu, sups, cv, dspec, spec):
         failed=failed,
         reject_rate=rate,
         mc_se=mc_se,
-        mean_sup=mean_sup,
         sup_q50=q50,
         sup_q95=q95,
-        master_seed=spec.master_seed,
     )
 
 

@@ -122,7 +122,7 @@ def _inverse_quadratic(lower, diag, v):
 #     W(k) = S_k' (G1^-1 + G2^-1) S_k / sigma2,
 # one forward substitution per regime and no regime estimates.
 
-def wald_scan(X, y, k_lo, k_hi, sigma2, tol=GRAM_PIVOT_RTOL):
+def wald_scan(X, y, k_lo, k_hi, sigma2):
     """Wald statistic at every candidate split k in [k_lo, k_hi].
 
     ``X`` is one (T, p) design or a stack (R, T, p) of them, with ``y`` of
@@ -131,23 +131,19 @@ def wald_scan(X, y, k_lo, k_hi, sigma2, tol=GRAM_PIVOT_RTOL):
     the scan removes the full-sample fit from the cumulative cross-products,
     so the partial sums end at zero either way.  Returns ``(values, ok)`` of
     shape (k_hi - k_lo + 1,) or (R, k_hi - k_lo + 1): the statistic, NaN
-    where a regime Gram matrix (or the full one) was singular at the pivot
-    tolerance, and flags of the computable entries.  Values match
+    where a regime Gram matrix (or the full one) was singular at
+    ``GRAM_PIVOT_RTOL``, and flags of the computable entries.  Values match
     independent per-k refits to 1e-10 relative.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    single = X.ndim == 2
-    if single:
-        X, y = X[None], y[None]
-    sigma2 = np.broadcast_to(np.asarray(sigma2, dtype=np.float64), X.shape[:1])
     p = X.shape[-1]
 
-    cols = np.ascontiguousarray(np.moveaxis(X, -1, 0))  # (p, R, T)
+    cols = np.ascontiguousarray(np.moveaxis(X, -1, 0))  # (p, ..., T)
     gram_cum = np.cumsum(cols[:, None] * cols[None, :], axis=-1)
     xy_cum = np.cumsum(cols * y, axis=-1)
     gram = gram_cum[..., -1]
-    floor = tol * np.max(np.diagonal(gram), axis=-1)
+    floor = GRAM_PIVOT_RTOL * np.max(np.diagonal(gram), axis=-1)
     l_full, d_full, bad_full = ldl(gram, floor)
     beta = ldl_solve(l_full, d_full, xy_cum[..., -1])[..., None]
 
@@ -155,12 +151,12 @@ def wald_scan(X, y, k_lo, k_hi, sigma2, tol=GRAM_PIVOT_RTOL):
     sums = xy_cum[..., k_lo - 1 : k_hi].copy()
     for j in range(p):
         sums -= g1[:, j] * beta[j]
-    l1, d1, bad1 = ldl(g1, floor[:, None])
-    l2, d2, bad2 = ldl(gram[..., None] - g1, floor[:, None])
-    ok = (bad1 == p) & (bad2 == p) & (bad_full == p)[:, None]
+    floor = np.expand_dims(floor, -1)
+    l1, d1, bad1 = ldl(g1, floor)
+    l2, d2, bad2 = ldl(gram[..., None] - g1, floor)
+    ok = (bad1 == p) & (bad2 == p) & np.expand_dims(bad_full == p, -1)
     quad = _inverse_quadratic(l1, d1, sums) + _inverse_quadratic(l2, d2, sums)
-    vals = np.where(ok, quad / sigma2[:, None], np.nan)
-    return (vals[0], ok[0]) if single else (vals, ok)
+    return np.where(ok, quad / np.expand_dims(sigma2, -1), np.nan), ok
 
 
 # ---------------------------------------------------------------------------

@@ -114,8 +114,17 @@ def check_functional(kind, n_steps, p, nu, c=None, corr=None):
         corr = 0.0 if corr is None else corr
     if corr is not None and not -1.0 <= corr <= 1.0:
         raise SpecError(f"corr must lie in [-1, 1], got {corr}")
+    if kind in ("supabsbb", "supqp"):
+        j_lo, j_hi = _window(nu, n_steps)
+        if j_lo > j_hi:
+            raise SpecError(f"{kind} trimming nu={nu} leaves no interior grid point for n_steps={n_steps}")
     shape = {"supqp": (p, n_steps), "supabslurcusum": (2, n_steps)}.get(kind, (n_steps,))
     return shape, (n_steps, p, nu, c, corr)
+
+
+def _window(nu, n_steps):
+    """Interior grid points (j_lo, j_hi) in [nu, 1-nu]; a bridge is zero at both ends anyway."""
+    return max(math.ceil(nu * n_steps - 1e-9), 1), min(math.floor((1.0 - nu) * n_steps + 1e-9), n_steps - 1)
 
 
 def _reduce(kind, z, nu, c, corr):
@@ -124,13 +133,10 @@ def _reduce(kind, z, nu, c, corr):
     Kernels are looked up on :mod:`kernels` at each call, so tracing can wrap them.
     """
     n_steps = z.shape[-1]
-    # interior grid points in [nu, 1-nu]; a bridge is zero at both ends anyway
-    j_lo = max(math.ceil(nu * n_steps - 1e-9), 1)
-    j_hi = min(math.floor((1.0 - nu) * n_steps + 1e-9), n_steps - 1)
     if kind == "supabsbb":
-        return kernels.bridge_sup(z, j_lo, j_hi)
+        return kernels.bridge_sup(z, *_window(nu, n_steps))
     if kind == "supqp":
-        return kernels.qp_sup(z, j_lo, j_hi)
+        return kernels.qp_sup(z, *_window(nu, n_steps))
     if kind == "supabslurcusum":
         # error and regressor motions with correlation corr, both scaled by sqrt(dt)
         sdt = math.sqrt(1.0 / n_steps)

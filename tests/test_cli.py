@@ -318,6 +318,9 @@ def test_string_table_paths_exit_2_naming_the_field(tmp_path, capfd):
     assert "table_source key 'paths'" in err and "Traceback" not in err
 
 
+#: a trimming that leaves no interior point of a 3-step grid to scan
+_EMPTY_WINDOW = "nu=0.4 leaves no interior grid point for n_steps=3"
+
 
 @pytest.mark.parametrize(
     "command,arg,named",
@@ -336,9 +339,13 @@ def test_string_table_paths_exit_2_naming_the_field(tmp_path, capfd):
             {"mode": "precomputed", "paths": ["a.json", "b.json"]},
             "a.json and b.json both cover (supabsbb, p=1, nu=0)",
         ),
+        ("critvals", ["--kind", "supqp", "--steps", "3", "--nu", "0.4"], _EMPTY_WINDOW),
+        ("critvals", ["--kind", "supabsbb", "--steps", "3", "--nu", "0.4"], _EMPTY_WINDOW),
+        ("test", {**_TABLE, "nu": 0.4, "meta": {**_TABLE["meta"], "n_steps": 3}}, _EMPTY_WINDOW),
     ],
     ids=["c-nan", "c-inf", "steps-1", "steps-0", "p-0", "table-source-steps-0", "table-source-steps-1",
-         "nan-quantile", "table-steps-1", "duplicate-tables"],
+         "nan-quantile", "table-steps-1", "duplicate-tables", "supqp-empty-window", "supabsbb-empty-window",
+         "table-empty-window"],
 )
 def test_bad_functional_or_table_exits_2_before_any_draw(tmp_path, capfd, monkeypatch, command, arg, named):
     from breaklab import rng

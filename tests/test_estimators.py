@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from breaklab.break_tests import cusum_path
 from breaklab.dgp import DgpSpec, Sample
-from breaklab.errors import BreakIndexError, SingularDesignError
+from breaklab.errors import BreakIndexError, DegenerateSampleError, SingularDesignError
 from breaklab.estimators import (
     fit_xy,
     ols_fit,
@@ -63,6 +64,21 @@ def test_singular_design_names_offending_column():
 def test_zero_design_rejected():
     with pytest.raises(SingularDesignError):
         fit_xy(np.zeros((5, 1)), np.zeros(5))
+
+
+def test_fit_flags_the_rows_the_statistics_are_defined_on():
+    T = 12
+    t = np.arange(T, dtype=float)
+    x = np.column_stack([np.ones(T), np.cos(t)])
+    X = np.stack([x, x, np.ones((T, 2))])  # the last design repeats its column
+    y = np.stack([np.sin(t) + 0.1 * t, np.full(T, 3.0), t**2])
+    fit = fit_xy(X, y)
+    assert fit.usable.tolist() == [True, False, False]
+    assert fit.full_rank.tolist() == [True, True, False]
+    flat = fit_xy(x, np.full(T, 3.0))
+    assert flat.full_rank and not flat.usable
+    with pytest.raises(DegenerateSampleError):
+        cusum_path(flat)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,44 @@ def test_engine_sups_equal_the_per_sample_functions(cell, seed):
         assert all(np.isnan(sups[kind]).all() for kind, _ in STATS)
 
 
+def _per_sample_outcome(kind, sample, nu):
+    """The single-sample outcome of ``kind``, or None where that call raises."""
+    try:
+        if kind == "cusum":
+            return break_tests.cusum_path(ols_fit(sample), nu)
+        if kind == "cusumsq":
+            return break_tests.cusum_sq_path(ols_fit(sample), nu)
+        if kind == "zmean":
+            return break_tests.z_mean_path(sample, nu)
+        return break_tests.wald_path(sample, nu)
+    except BreakLabError:
+        return None
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1))
+def test_block_rows_equal_the_single_sample_outcomes(cell, seed):
+    n = 4 if cell == "explosive" else 8
+    spec = spec_from_config(CELLS[cell])
+    with np.errstate(over="ignore", invalid="ignore"):  # as the engine fits its blocks
+        fit = ols_fit(generate(spec, replication_stream(seed, range(n))))
+    samples = [generate(spec, replication_stream(seed, rep)) for rep in range(n)]
+    for kind, nu in STATS:
+        block = break_tests.evaluate_block(kind, fit, nu)
+        for rep, sample in enumerate(samples):
+            want = _per_sample_outcome(kind, sample, nu)
+            if want is None:
+                assert np.isnan(block.sup_value[rep]) and block.argmax_k[rep] == -1, (kind, rep)
+                continue
+            assert np.array_equal(block.ks, want.ks)
+            assert np.array_equal(block.path[rep], want.path, equal_nan=True), (kind, rep)
+            assert np.array_equal(block.sup_value[rep], want.sup_value), (kind, rep)
+            assert block.argmax_k[rep] == want.argmax_k, (kind, rep)
+            if kind in ("zmean", "wald"):  # the residual statistics skip no split
+                assert block.skipped[rep] == len(want.skipped), (kind, rep)
+
+
 def test_block_failures_stay_in_their_row():
     # one stack: a regular sample, one with singular early splits, a
     # constant (degenerate) one and a rank-deficient one
