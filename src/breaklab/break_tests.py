@@ -145,7 +145,7 @@ def _bridge_centered(values, k_lo, k_hi):
     T = values.shape[-1]
     sums = np.cumsum(values, axis=-1)
     ks = np.arange(k_lo, k_hi + 1)
-    return ks, sums[..., ks - 1] - (ks / T) * sums[..., -1:]
+    return ks, sums[..., k_lo - 1 : k_hi] - (ks / T) * sums[..., -1:]
 
 
 def cusum_path(fit, nu=None, sided=TWO_SIDED_ABS):

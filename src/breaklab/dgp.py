@@ -8,9 +8,11 @@ for any ``s``.
 Each family builds a whole stack of replications at once from their
 standard normals, one row per replication.  :func:`generate` given a
 :class:`~breaklab.rng.StreamStack` (``replication_stream(seed, range(lo,
-hi))``) returns the stacked samples of those replications; given one
-stream, it builds the block of one, so a row of the stack and the sample
-generated from that replication's own stream are the same bit for bit.
+hi))``), or the normals such a stack has drawn, returns the stacked samples
+of those replications; given one stream, it builds the block of one, so a
+row of the stack and the sample generated from that replication's own
+stream are the same bit for bit.  The normals depend on the spec only
+through :func:`draw_shape`, so specs of one shape can share one draw.
 
 Sign convention for persistence: the autoregressive root is
 ``rho = 1 + c/T`` with ``c <= 0`` meaning near-stationary and ``c = 0`` the
@@ -300,14 +302,24 @@ def _stack(spec, z):
     return SampleStack(y=y, X=X, truth=spec, innovations=innovations)
 
 
+def draw_shape(spec):
+    """Shape of the standard normals one replication of ``spec`` draws."""
+    return _FAMILIES[spec.family].draw_shape(spec)
+
+
 def generate(spec, stream):
     """Generate one sample from ``spec`` using the given random stream.
 
-    ``stream`` may instead be a :class:`~breaklab.rng.StreamStack`; the
-    result is then the :class:`SampleStack` of its streams, generated at
-    once, whose row i equals the sample generated from stream i alone.
+    ``stream`` may instead be a :class:`~breaklab.rng.StreamStack`, or the
+    (R, *draw_shape(spec)) normals such a stack drew, which are only read;
+    the result is then the :class:`SampleStack` of those streams, generated
+    at once, whose row i equals the sample generated from stream i alone.
     """
-    shape = _FAMILIES[spec.family].draw_shape(spec)
+    shape = draw_shape(spec)
+    if isinstance(stream, np.ndarray):
+        if stream.shape[1:] != shape:
+            raise DataError(f"{spec.family} draws normals of shape (R, *{shape}), got {stream.shape}")
+        return _stack(spec, stream)
     if isinstance(stream, StreamStack):
         return _stack(spec, stream.normal_rows(shape))
     return _stack(spec, stream.standard_normal(shape)[None]).sample(0)

@@ -2,20 +2,23 @@
 
 Replication r of every cell draws from the stream (master_seed, r), so a
 report is a pure function of its spec: reruns with any worker count produce
-byte-identical results.  Replications are processed in fixed-size chunks;
-the chunks of all cells go through one map, over a process pool when
-``workers > 1``, so no worker waits at a cell boundary.  Results come back in
-payload order and each cell is aggregated as soon as its chunks are in.
-Inside a chunk, replications are generated together, in stacks bounded by
-:data:`STACK_BYTES`, and evaluated in smaller blocks: each replication gets
-one pooled fit, and each statistic is evaluated once per block on the
-stacked fits.
+byte-identical results.  The cells of a grid are grouped by the shape of
+the normals their DGP draws (:func:`~breaklab.dgp.draw_shape`); cells of
+one group draw the same normals, so each stack of replications draws them
+once for the whole group.  Replications are processed in fixed-size chunks,
+and one payload is one chunk of one group; all payloads go through one map,
+over a process pool when ``workers > 1``, so no worker waits at a cell
+boundary.  The payload count, groups times chunks, bounds how many workers
+can be busy.  Results are then aggregated, logged and reported per cell in
+grid order.  Inside a chunk, replications are generated together, in
+stacks bounded by :data:`STACK_BYTES`, and evaluated in smaller blocks:
+each replication gets one pooled fit, and each statistic is evaluated once
+per block on the stacked fits.
 """
 
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
@@ -281,35 +284,15 @@ def stack_size(T, p):
     return max(1, STACK_BYTES // (8 * T * 4 * (p + 1)))
 
 
-def _blocks(spec, master_seed, rep_lo, rep_hi):
-    """``(first replication, SampleBlock)`` over [rep_lo, rep_hi): generated
-    in stacks of :func:`stack_size`, evaluated in blocks of :func:`block_size`."""
-    step = block_size(spec.T, spec.design_dim)
-    stack_step = stack_size(spec.T, spec.design_dim)
-    for stack_lo in range(rep_lo, rep_hi, stack_step):
-        reps = range(stack_lo, min(stack_lo + stack_step, rep_hi))
-        stack = dgp.generate(spec, replication_stream(master_seed, reps))
-        for i in range(0, len(stack), step):
-            yield stack_lo + i, SampleBlock(stack.rows(i, i + step))
-
-
-def _run_chunk(payload):
-    """Compute sup statistics for replications [rep_lo, rep_hi) of one cell.
-
-    Module-level so it can cross a process boundary; everything needed is in
-    the payload.  Each replication's results depend on its own stream alone,
-    never on the stack or block it landed in.  Returns NaN where a
-    replication failed for that statistic, and per statistic the number of
-    skipped Wald splits; under :data:`RANK_DEFICIENT` the same dict counts
-    the replications whose pooled design failed the rank check.
-    """
-    dgp_cfg, stat_items, master_seed, rep_lo, rep_hi, paths_upto = payload
-    spec = dgp.spec_from_config(dgp_cfg)
-    sups = {kind: np.full(rep_hi - rep_lo, np.nan) for kind, _ in stat_items}
-    skipped = dict.fromkeys(sups, 0)
-    skipped[RANK_DEFICIENT] = 0
-    paths = []
-    for lo, block in _blocks(spec, master_seed, rep_lo, rep_hi):
+def _evaluate_stack(stack, stack_lo, rep_lo, stat_items, paths_upto, result):
+    """Evaluate one cell's generated replications ``stack_lo ..`` in blocks of
+    :func:`block_size` into its chunk ``result`` ``(sups, paths, skipped)``,
+    whose first replication is ``rep_lo``; the stack is freed on return."""
+    sups, paths, skipped = result
+    step = block_size(stack.truth.T, stack.truth.design_dim)
+    for i in range(0, len(stack), step):
+        block = SampleBlock(stack.rows(i, i + step))
+        lo = stack_lo + i
         hi = lo + len(block)
         try:
             skipped[RANK_DEFICIENT] += int(np.count_nonzero(~block.fit.full_rank))
@@ -329,7 +312,48 @@ def _run_chunk(payload):
                 row = rows[kind][rep - lo]
                 if row is not None:
                     paths.append((rep, kind, row[0].copy(), row[1].copy()))
-    return rep_lo, sups, paths, skipped
+
+
+def _run_cells(payload):
+    """One payload: replications [rep_lo, rep_hi) of every cell in a group
+    that shares one draw shape; one ``(sups, paths, skipped)`` per cell, as
+    :func:`_run_chunk` describes.
+
+    Module-level so it can cross a process boundary.  Each stack draws its
+    normals once, read-only, and every cell is generated and evaluated from
+    them in turn, its stack released before the next cell's is generated:
+    memory stays within :data:`STACK_BYTES` plus one stack of normals.  A
+    replication's results depend on its own stream alone, never on the
+    group, stack or block it landed in.
+    """
+    dgp_cfgs, stat_items, master_seed, rep_lo, rep_hi, paths_upto = payload
+    specs = [dgp.spec_from_config(cfg) for cfg in dgp_cfgs]
+    shape = dgp.draw_shape(specs[0])
+    stack_step = min(stack_size(spec.T, spec.design_dim) for spec in specs)
+    results = []
+    for _ in specs:
+        sups = {kind: np.full(rep_hi - rep_lo, np.nan) for kind, _ in stat_items}
+        results.append((sups, [], dict.fromkeys((*sups, RANK_DEFICIENT), 0)))
+    for stack_lo in range(rep_lo, rep_hi, stack_step):
+        reps = range(stack_lo, min(stack_lo + stack_step, rep_hi))
+        z = replication_stream(master_seed, reps).normal_rows(shape)
+        z.flags.writeable = False  # shared by every cell of the group
+        for spec, result in zip(specs, results):
+            _evaluate_stack(dgp.generate(spec, z), stack_lo, rep_lo, stat_items, paths_upto, result)
+    return results
+
+
+def _run_chunk(payload):
+    """Compute sup statistics for replications [rep_lo, rep_hi) of one cell:
+    the one-cell case of :func:`_run_cells`.
+
+    Returns ``(rep_lo, sups, paths, skipped)``: NaN where a replication
+    failed for that statistic, the sampled paths, and per statistic the
+    number of skipped Wald splits; under :data:`RANK_DEFICIENT` the same
+    dict counts the replications whose pooled design failed the rank check.
+    """
+    [(sups, paths, skipped)] = _run_cells(([payload[0]], *payload[1:]))
+    return payload[3], sups, paths, skipped
 
 
 @dataclass
@@ -415,51 +439,46 @@ def run_experiment(spec, workers=1, paths_sample=0):
     rows = []
     all_paths = []
     stat_items = [(kind, spec.nu_for(kind)) for kind in spec.stat_kinds]
+    groups = {}  # draw shape -> grid indices of the cells drawing it
+    for cell, dspec in enumerate(spec.dgp_grid):
+        groups.setdefault(dgp.draw_shape(dspec), []).append(cell)
     starts = range(0, spec.n_reps, CHUNK_SIZE)
     payloads = [
-        (dgp.spec_to_config(d), stat_items, spec.master_seed, lo, min(lo + CHUNK_SIZE, spec.n_reps), paths_sample)
-        for d in spec.dgp_grid
+        ([dgp.spec_to_config(spec.dgp_grid[cell]) for cell in cells], stat_items, spec.master_seed,
+         lo, min(lo + CHUNK_SIZE, spec.n_reps), paths_sample)
+        for cells in groups.values()
         for lo in starts
     ]
+    chunks = [[] for _ in spec.dgp_grid]  # per cell, its chunks' results in replication order
     if workers > 1:  # importing the pool loads multiprocessing, which a serial run never needs
         from concurrent.futures import ProcessPoolExecutor
     executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        # one map over every cell's chunks, in order: no worker waits at a cell boundary
-        results = (map if executor is None else executor.map)(_run_chunk, payloads)
-        for dspec in spec.dgp_grid:
-            sups = {kind: np.empty(spec.n_reps) for kind in spec.stat_kinds}
-            skipped = dict.fromkeys((*spec.stat_kinds, RANK_DEFICIENT), 0)
-            for rep_lo, chunk_sups, chunk_paths, chunk_skipped in islice(results, len(starts)):
-                for kind, values in chunk_sups.items():
-                    sups[kind][rep_lo : rep_lo + values.shape[0]] = values
-                for key in skipped:
-                    skipped[key] += chunk_skipped[key]
-                for rep, kind, ks, path in chunk_paths:
-                    all_paths.append((dspec, kind, rep, ks, path))
-            notes = [
-                f"{kind} failed {int(np.isnan(sups[kind]).sum())}/{spec.n_reps}"
-                + (f", {skipped[kind]} singular splits skipped" if skipped[kind] else "")
-                for kind in spec.stat_kinds
-            ]
-            if skipped[RANK_DEFICIENT]:
-                notes.append(f"{skipped[RANK_DEFICIENT]}/{spec.n_reps} {RANK_DEFICIENT}")
-            log.info(
-                "%s T=%d s=%g c=%g corr=%g: %s",
-                dspec.family,
-                dspec.T,
-                dspec.s,
-                dspec.persistence_c,
-                float(dspec.cov.correlation),
-                "; ".join(notes),
-            )
-            for kind, nu in stat_items:
-                key = spec.table_key(kind, dspec)
-                cv = 0.0 if key is None else tables[key].lookup(1.0 - spec.level)
-                rows.append(_aggregate(kind, nu, sups[kind], cv, dspec, spec))
+        # one map over every group's chunks: no worker waits at a cell boundary
+        results = (map if executor is None else executor.map)(_run_cells, payloads)
+        for cells, cell_results in zip((cells for cells in groups.values() for _ in starts), results):
+            for cell, result in zip(cells, cell_results):
+                chunks[cell].append(result)
     finally:
         if executor is not None:
             executor.shutdown(cancel_futures=True)
+    for dspec, results in zip(spec.dgp_grid, chunks):
+        sups = {kind: np.concatenate([chunk[0][kind] for chunk in results]) for kind in spec.stat_kinds}
+        skipped = {key: sum(chunk[2][key] for chunk in results) for key in (*spec.stat_kinds, RANK_DEFICIENT)}
+        notes = [
+            f"{kind} failed {int(np.isnan(sups[kind]).sum())}/{spec.n_reps}"
+            + (f", {skipped[kind]} singular splits skipped" if skipped[kind] else "")
+            for kind in spec.stat_kinds
+        ]
+        if skipped[RANK_DEFICIENT]:
+            notes.append(f"{skipped[RANK_DEFICIENT]}/{spec.n_reps} {RANK_DEFICIENT}")
+        log.info("%s T=%d s=%g c=%g corr=%g: %s", dspec.family, dspec.T, dspec.s, dspec.persistence_c,
+                 float(dspec.cov.correlation), "; ".join(notes))
+        for kind, nu in stat_items:
+            key = spec.table_key(kind, dspec)
+            cv = 0.0 if key is None else tables[key].lookup(1.0 - spec.level)
+            rows.append(_aggregate(kind, nu, sups[kind], cv, dspec, spec))
+        all_paths += [(dspec, kind, rep, ks, path) for chunk in results for rep, kind, ks, path in chunk[1]]
     # deliberately excludes the worker count: scheduling must never show up
     # in any output, so reruns are byte-identical at any parallelism
     provenance = {

@@ -51,40 +51,40 @@ def ldl(a, pivot_floor):
     """LDL' of every symmetric matrix in the stack ``a`` of shape (p, p, ...).
 
     Only the lower triangle is read.  ``pivot_floor`` broadcasts against the
-    stack shape.  Returns ``(lower, diag, bad)``: the unit lower factors, the
-    pivots (shape (p, ...)), and for each matrix the first column whose
-    pivot is at or below the floor (``p`` when none is).  A failed pivot is
-    replaced by 1 so the factors stay finite; callers discard the matrices
-    ``bad`` flags.
+    stack shape.  Returns ``(lower, diag, bad)``: the unit lower factors as
+    a dict from ``(j, i)``, j > i, to the stacked entries below the unit
+    diagonal, the pivots (shape (p, ...)), and for each matrix the first
+    column whose pivot is at or below the floor (``p`` when none is).  A
+    failed pivot is replaced by 1 so the factors stay finite; callers
+    discard the matrices ``bad`` flags.
     """
     p = a.shape[0]
-    lower = np.zeros_like(a)
-    diag = np.ones(a.shape[1:])
+    lower = {}
+    diag = np.empty(a.shape[1:])
     bad = np.full(a.shape[2:], p)
     for i in range(p):
-        s = a[i, i].copy()
+        s = a[i, i]
         for k in range(i):
-            s -= lower[i, k] * lower[i, k] * diag[k]
+            s = s - lower[i, k] * lower[i, k] * diag[k]
         failed = s <= pivot_floor
-        bad = np.where(failed & (bad == p), i, bad)
+        bad[failed & (bad == p)] = i
         s = np.where(failed, 1.0, s)
         diag[i] = s
-        lower[i, i] = 1.0
         for j in range(i + 1, p):
-            s2 = a[j, i].copy()
+            s2 = a[j, i]
             for k in range(i):
-                s2 -= lower[j, k] * lower[i, k] * diag[k]
+                s2 = s2 - lower[j, k] * lower[i, k] * diag[k]
             lower[j, i] = s2 / s
     return lower, diag, bad
 
 
 def _forward(lower, rhs):
-    """Solve L z = rhs for unit lower ``L``; ``rhs`` has shape (p, ...)."""
-    out = np.zeros_like(rhs)
+    """Solve L z = rhs for the unit lower ``L`` of :func:`ldl`; ``rhs`` has shape (p, ...)."""
+    out = np.empty_like(rhs)
     for i in range(rhs.shape[0]):
-        s = rhs[i].copy()
+        s = rhs[i]
         for k in range(i):
-            s -= lower[i, k] * out[k]
+            s = s - lower[i, k] * out[k]
         out[i] = s
     return out
 
@@ -93,11 +93,11 @@ def ldl_solve(lower, diag, rhs):
     """Solve (L D L') x = rhs for every stacked system."""
     p = rhs.shape[0]
     out = _forward(lower, rhs) / diag
-    back = np.zeros_like(rhs)
+    back = np.empty_like(rhs)
     for i in range(p - 1, -1, -1):
-        s = out[i].copy()
+        s = out[i]
         for k in range(i + 1, p):
-            s -= lower[k, i] * back[k]
+            s = s - lower[k, i] * back[k]
         back[i] = s
     return back
 
@@ -109,6 +109,13 @@ def _inverse_quadratic(lower, diag, v):
     for i in range(1, v.shape[0]):
         quad += z[i] * z[i] / diag[i]
     return quad
+
+
+def _regime_quadratic(gram, floor, sums):
+    """sums' gram^-1 sums for every stacked regime, and where ``gram`` passed
+    the pivot floor; the factors are freed before the caller factors again."""
+    lower, diag, bad = ldl(gram, floor)
+    return _inverse_quadratic(lower, diag, sums), bad == gram.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +158,12 @@ def wald_scan(X, y, k_lo, k_hi, sigma2):
     sums = xy_cum[..., k_lo - 1 : k_hi].copy()
     for j in range(p):
         sums -= g1[:, j] * beta[j]
+    del cols, xy_cum  # the regime factorizations below set the peak; free these first
     floor = np.expand_dims(floor, -1)
-    l1, d1, bad1 = ldl(g1, floor)
-    l2, d2, bad2 = ldl(gram[..., None] - g1, floor)
-    ok = (bad1 == p) & (bad2 == p) & np.expand_dims(bad_full == p, -1)
-    quad = _inverse_quadratic(l1, d1, sums) + _inverse_quadratic(l2, d2, sums)
-    return np.where(ok, quad / np.expand_dims(sigma2, -1), np.nan), ok
+    quad1, ok1 = _regime_quadratic(g1, floor, sums)
+    quad2, ok2 = _regime_quadratic(gram[..., None] - g1, floor, sums)
+    ok = ok1 & ok2 & np.expand_dims(bad_full == p, -1)
+    return np.where(ok, (quad1 + quad2) / np.expand_dims(sigma2, -1), np.nan), ok
 
 
 # ---------------------------------------------------------------------------

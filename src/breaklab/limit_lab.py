@@ -7,7 +7,7 @@ The functionals simulated here are the null limits of the break statistics:
 * ``supabslurcusum``  -- the bridge contaminated by a mean-reverting
                          persistence correction with nuisance parameters
                          ``c`` (local persistence) and ``corr`` (innovation
-                         cross-correlation)
+                         cross-correlation); untrimmed, so ``nu`` is 0
 * ``cvmp1trace``      -- the integrated squared bridge
 
 Each kind is defined once, by its draw shape and parameter rules in
@@ -111,6 +111,8 @@ def check_functional(kind, n_steps, p, nu, c=None, corr=None):
     if kind == "supabslurcusum":
         if c is None or not math.isfinite(c):
             raise SpecError(f"supabslurcusum requires a finite persistence c, got {c}")
+        if nu != 0.0:  # its sup runs over the whole grid
+            raise SpecError(f"supabslurcusum takes no trimming: nu must be 0, got {nu}")
         corr = 0.0 if corr is None else corr
     if corr is not None and not -1.0 <= corr <= 1.0:
         raise SpecError(f"corr must lie in [-1, 1], got {corr}")

@@ -320,6 +320,8 @@ def test_string_table_paths_exit_2_naming_the_field(tmp_path, capfd):
 
 #: a trimming that leaves no interior point of a 3-step grid to scan
 _EMPTY_WINDOW = "nu=0.4 leaves no interior grid point for n_steps=3"
+#: supabslurcusum takes its sup over the whole grid
+_LUR_TRIMMED = "supabslurcusum takes no trimming: nu must be 0, got 0.3"
 
 
 @pytest.mark.parametrize(
@@ -342,10 +344,12 @@ _EMPTY_WINDOW = "nu=0.4 leaves no interior grid point for n_steps=3"
         ("critvals", ["--kind", "supqp", "--steps", "3", "--nu", "0.4"], _EMPTY_WINDOW),
         ("critvals", ["--kind", "supabsbb", "--steps", "3", "--nu", "0.4"], _EMPTY_WINDOW),
         ("test", {**_TABLE, "nu": 0.4, "meta": {**_TABLE["meta"], "n_steps": 3}}, _EMPTY_WINDOW),
+        ("critvals", ["--kind", "supabslurcusum", "--c", "-5", "--nu", "0.3"], _LUR_TRIMMED),
+        ("test", {**_TABLE, "kind": "supabslurcusum", "c": -5.0, "nu": 0.3}, _LUR_TRIMMED),
     ],
     ids=["c-nan", "c-inf", "steps-1", "steps-0", "p-0", "table-source-steps-0", "table-source-steps-1",
          "nan-quantile", "table-steps-1", "duplicate-tables", "supqp-empty-window", "supabsbb-empty-window",
-         "table-empty-window"],
+         "table-empty-window", "supabslurcusum-trimmed", "table-supabslurcusum-trimmed"],
 )
 def test_bad_functional_or_table_exits_2_before_any_draw(tmp_path, capfd, monkeypatch, command, arg, named):
     from breaklab import rng

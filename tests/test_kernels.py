@@ -5,8 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from breaklab.kernels import (
+    GRAM_PIVOT_RTOL,
     ar1_path,
     bridge_sup,
+    ldl,
     lur_cusum_sup,
     qp_sup,
     wald_scan,
@@ -37,6 +39,55 @@ def test_ar1_path_matches_direct_recursion():
         prev = rho * prev + s
         expected[i] = prev
     assert_allclose(ar1_path(shocks, rho, x0), expected, rtol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# ldl
+# ---------------------------------------------------------------------------
+
+def _scalar_ldl(a, floor):
+    """LDL' of one matrix in Python floats, in the kernel's operation order."""
+    p = len(a)
+    lower, diag, bad = {}, [], p
+    for i in range(p):
+        s = a[i][i]
+        for k in range(i):
+            s = s - lower[i, k] * lower[i, k] * diag[k]
+        if s <= floor:
+            bad, s = min(bad, i), 1.0
+        diag.append(s)
+        for j in range(i + 1, p):
+            s2 = a[j][i]
+            for k in range(i):
+                s2 = s2 - lower[j, k] * lower[i, k] * diag[k]
+            lower[j, i] = s2 / s
+    return lower, diag, bad
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_ldl_matches_scalar_recursion(p):
+    rng = np.random.default_rng(40 + p)
+    X = rng.standard_normal((3, 5, 8, p))  # a (3, 5) stack of 8-row designs
+    X[0, 1] = 0.0  # zero Gram matrix: the first pivot fails
+    if p > 1:
+        X[1, 2, :, -1] = 2.0 * X[1, 2, :, 0]  # last column collinear with the first
+        X[2, 3, :, 1] = 0.0  # a zero pivot in the middle
+    gram = np.einsum("...ti,...tj->ij...", X, X)
+    floor = GRAM_PIVOT_RTOL * np.max(np.diagonal(gram), axis=-1)
+    lower, diag, bad = ldl(gram, floor)
+    assert diag.shape == (p, 3, 5) and bad.shape == (3, 5)
+    assert sorted(lower) == sorted((j, i) for i in range(p) for j in range(i + 1, p))
+    for idx in np.ndindex(3, 5):
+        a = gram[(slice(None), slice(None), *idx)]
+        want = _scalar_ldl(a.tolist(), float(floor[idx]))
+        got = ({key: float(v[idx]) for key, v in lower.items()}, diag[(slice(None), *idx)].tolist(), int(bad[idx]))
+        assert got == want, idx
+        # the 0-d stack: one sample's Gram matrix, as a single fit factors it
+        one_lower, one_diag, one_bad = ldl(a, floor[idx])
+        assert ({key: float(v) for key, v in one_lower.items()}, one_diag.tolist(), int(one_bad)) == want, idx
+    assert bad[0, 1] == 0
+    if p > 1:
+        assert bad[1, 2] == p - 1 and bad[2, 3] == 1
 
 
 # ---------------------------------------------------------------------------

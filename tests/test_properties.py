@@ -1,16 +1,18 @@
 """Property tests: block evaluation, per-sample parity, the Wald identity and
 the invariances every statistic path must have."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from breaklab import break_tests
-from breaklab.dgp import Sample, generate, spec_from_config, spec_to_config
+from breaklab import break_tests, experiments
+from breaklab.dgp import Sample, draw_shape, generate, spec_from_config, spec_to_config
 from breaklab.errors import BreakLabError
 from breaklab.estimators import fit_xy, ols_fit
-from breaklab.experiments import _run_chunk
+from breaklab.experiments import _run_cells, _run_chunk
 from breaklab.kernels import wald_scan
 from breaklab.rng import replication_stream
 
@@ -38,6 +40,20 @@ CELLS = {
 def _chunk(cfg, seed, lo, hi, paths_upto=0):
     spec = spec_to_config(spec_from_config(cfg))
     return _run_chunk((spec, list(STATS), seed, lo, hi, paths_upto))
+
+
+#: groups of cells that draw normals of one shape: (40,); (200,) at two T and
+#: two p; (41, 2) from two families; (501, 2) with the explosive cell
+GROUPS = {
+    "T40": [CELLS["location"], CELLS["location_break"], CELLS["ar1"]],
+    "mixed_T_p": [
+        {"family": "location", "T": 200},
+        {"family": "linear_regression", "T": 100, "beta_pre": [1.0, 0.5]},
+        {"family": "ar1", "T": 200, "c": -10.0},
+    ],
+    "pairs": [CELLS["predictive_lur"], {**CELLS["cointegration"], "T": 41}],
+    "explosive": [CELLS["explosive"], {**CELLS["predictive_lur"], "T": 500}, {"family": "cointegration", "T": 501}],
+}
 
 
 def _per_sample_sup(kind, sample, nu):
@@ -90,6 +106,46 @@ def test_engine_sups_equal_the_per_sample_functions(cell, seed):
             assert np.array_equal(sups[kind][rep], want, equal_nan=True), (kind, rep)
     if cell == "explosive":
         assert all(np.isnan(sups[kind]).all() for kind, _ in STATS)
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), small_stacks=st.booleans(), paths_upto=st.integers(0, 6))
+def test_grouped_cells_equal_lone_cells(group, seed, small_stacks, paths_upto):
+    # one draw of normals per stack serves every cell of the group; small
+    # stacks make the group's stack size differ from a lone cell's
+    n = 6 if group == "explosive" else 12
+    cfgs = [spec_to_config(spec_from_config(cfg)) for cfg in GROUPS[group]]
+    assert len({draw_shape(spec_from_config(cfg)) for cfg in cfgs}) == 1
+    budget = 8 * 200 * 4 * 2 * 3 if small_stacks else experiments.STACK_BYTES
+    with mock.patch.object(experiments, "STACK_BYTES", budget):
+        grouped = _run_cells((cfgs, list(STATS), seed, 2, 2 + n, paths_upto))
+        lone = [_run_chunk((cfg, list(STATS), seed, 2, 2 + n, paths_upto)) for cfg in cfgs]
+    for (sups, paths, skipped), (rep_lo, want_sups, want_paths, want_skipped) in zip(grouped, lone):
+        assert rep_lo == 2
+        for kind, _ in STATS:
+            assert np.array_equal(sups[kind], want_sups[kind], equal_nan=True), kind
+        assert skipped == want_skipped and experiments.RANK_DEFICIENT in skipped
+        assert len(paths) == len(want_paths)
+        for (rep_a, kind_a, ks_a, path_a), (rep_b, kind_b, ks_b, path_b) in zip(paths, want_paths):
+            assert (rep_a, kind_a) == (rep_b, kind_b)
+            assert np.array_equal(ks_a, ks_b)
+            assert np.array_equal(path_a, path_b, equal_nan=True)
+    if group == "explosive":
+        assert grouped[0][2][experiments.RANK_DEFICIENT] == n
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_generate_reads_predrawn_normals_only(cell):
+    spec = spec_from_config(CELLS[cell])
+    n = 3
+    z = replication_stream(11, range(n)).normal_rows(draw_shape(spec))
+    before = z.copy()
+    z.flags.writeable = False  # an in-place write would raise
+    stack = generate(spec, z)
+    assert z.tobytes() == before.tobytes()
+    want = generate(spec, replication_stream(11, range(n)))
+    assert np.array_equal(stack.X, want.X) and np.array_equal(stack.y, want.y)
 
 
 def _per_sample_outcome(kind, sample, nu):
