@@ -5,15 +5,15 @@ report is a pure function of its spec: reruns with any worker count produce
 byte-identical results.  The cells of a grid are grouped by the shape of
 the normals their DGP draws (:func:`~breaklab.dgp.draw_shape`); cells of
 one group draw the same normals, so each stack of replications draws them
-once for the whole group.  Replications are processed in fixed-size chunks,
-and one payload is one chunk of one group; all payloads go through one map,
-over a process pool when ``workers > 1``, so no worker waits at a cell
-boundary.  The payload count, groups times chunks, bounds how many workers
-can be busy.  Results are then aggregated, logged and reported per cell in
-grid order.  Inside a chunk, replications are generated together, in
-stacks bounded by :data:`STACK_BYTES`, and evaluated in smaller blocks:
-each replication gets one pooled fit, and each statistic is evaluated once
-per block on the stacked fits.
+once for the whole group.  A group's replications are cut into nearly equal
+chunks, enough to keep every worker busy, and one payload is one chunk of
+one group; all payloads go through one map, over a process pool when
+``workers > 1``, so no worker waits at a cell boundary.  Results are then
+aggregated, logged and reported per cell in grid order.  Inside a chunk,
+replications are generated together, in stacks bounded by
+:data:`STACK_BYTES`, and evaluated in smaller blocks: each replication gets
+one pooled fit, and each statistic is evaluated once per block on the
+stacked fits.
 """
 
 import logging
@@ -31,7 +31,8 @@ from .schema import SCHEMA_VERSION, jsonable, typed
 
 log = logging.getLogger(__name__)
 
-#: replications per worker task; fixed so scheduling cannot affect results
+#: most replications per worker task; with fewer tasks than workers, chunks are cut
+#: smaller.  No result depends on the cut: each replication draws its own stream
 CHUNK_SIZE = 256
 
 REPORT_COLUMNS = (
@@ -442,12 +443,14 @@ def run_experiment(spec, workers=1, paths_sample=0):
     groups = {}  # draw shape -> grid indices of the cells drawing it
     for cell, dspec in enumerate(spec.dgp_grid):
         groups.setdefault(dgp.draw_shape(dspec), []).append(cell)
-    starts = range(0, spec.n_reps, CHUNK_SIZE)
+    n_chunks = max(-(-spec.n_reps // CHUNK_SIZE), min(-(-workers // len(groups)), spec.n_reps))
+    cuts = [spec.n_reps * i // n_chunks for i in range(n_chunks + 1)]
+    chunk_ranges = list(zip(cuts, cuts[1:]))
     payloads = [
         ([dgp.spec_to_config(spec.dgp_grid[cell]) for cell in cells], stat_items, spec.master_seed,
-         lo, min(lo + CHUNK_SIZE, spec.n_reps), paths_sample)
+         lo, hi, paths_sample)
         for cells in groups.values()
-        for lo in starts
+        for lo, hi in chunk_ranges
     ]
     chunks = [[] for _ in spec.dgp_grid]  # per cell, its chunks' results in replication order
     if workers > 1:  # importing the pool loads multiprocessing, which a serial run never needs
@@ -456,7 +459,7 @@ def run_experiment(spec, workers=1, paths_sample=0):
     try:
         # one map over every group's chunks: no worker waits at a cell boundary
         results = (map if executor is None else executor.map)(_run_cells, payloads)
-        for cells, cell_results in zip((cells for cells in groups.values() for _ in starts), results):
+        for cells, cell_results in zip((cells for cells in groups.values() for _ in chunk_ranges), results):
             for cell, result in zip(cells, cell_results):
                 chunks[cell].append(result)
     finally:

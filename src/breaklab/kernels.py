@@ -4,7 +4,10 @@ Kernels operate on pre-drawn innovation arrays and are fully deterministic:
 all randomness lives in :mod:`breaklab.rng` streams owned by the callers.
 The first-order recursion, the factorization and the Wald scan take stacks
 of series or small problems and treat every stacked one independently, so a
-result never depends on what else was stacked with it.
+result never depends on what else was stacked with it.  Kernels never write
+their inputs.  The limit kernels and the recursion take their scratch from a
+keyword-only ``out`` array or ``work`` pair of flat buffers if given, with
+the same bits, so tabulation reuses one workspace across its sub-blocks.
 """
 
 import numpy as np
@@ -18,19 +21,20 @@ GRAM_PIVOT_RTOL = 1e-10
 # first-order recursions: x_t = rho * x_{t-1} + shock_t
 # ---------------------------------------------------------------------------
 
-def ar1_path(shocks, rho, x0=0.0):
+def ar1_path(shocks, rho, x0=0.0, *, out=None):
     """Recursion x_t = rho * x_{t-1} + shock_t started at x0; returns x_1..x_n.
 
     ``shocks`` is one series (n,) or a stack (R, n) of them, and ``x0`` a
     scalar or one start per row.  The loop runs over time, one vector
-    operation across the stack per step, in place on a C-contiguous copy of
-    ``shocks``, which it returns.  Every step rounds ``rho * x_{t-1}`` before
-    adding the shock.
+    operation across the stack per step, in place on a copy of ``shocks`` in
+    ``out`` (``shocks`` itself, any view of its shape, or new if None), which
+    it returns.  Every step rounds ``rho * x_{t-1}`` before adding the shock.
     """
     rho = float(rho)
     shocks = np.asarray(shocks, dtype=np.float64)
-    path = np.array(shocks, order="C")
-    rows = path.reshape(-1, shocks.shape[-1])
+    path = np.empty(shocks.shape) if out is None else out
+    path[...] = shocks
+    rows = np.atleast_2d(path)
     prev = np.broadcast_to(np.asarray(x0, dtype=np.float64), rows.shape[:1])
     for step in rows.T:
         step += rho * prev
@@ -170,29 +174,39 @@ def wald_scan(X, y, k_lo, k_hi, sigma2):
 # limit-process draws from pre-drawn standard-normal increments
 # ---------------------------------------------------------------------------
 
-def bridge_in_place(w):
-    """Rows of partial sums ``w`` (..., n) to bridges w(j/n) - (j/n) w(1), in place."""
+def carve(work, *shapes):
+    """An array of each of ``shapes``: the i-th at the start of the i-th flat
+    buffer of ``work``, or a new one when ``work`` is None."""
+    if work is None:
+        return [np.empty(shape) for shape in shapes]
+    return [buf[: np.prod(shape)].reshape(shape) for buf, shape in zip(work, shapes)]
+
+
+def bridge_in_place(w, tmp=None):
+    """Rows of partial sums ``w`` (..., n) to bridges w(j/n) - (j/n) w(1), in
+    place; ``tmp``, of the shape of ``w``, holds the subtrahend if given."""
     n = w.shape[-1]
-    w -= np.arange(1, n + 1) / n * w[..., -1:]
+    w -= np.multiply(np.arange(1, n + 1) / n, w[..., -1:], out=tmp)
     return w
 
 
-def bridge_sup(z, j_lo, j_hi):
+def bridge_sup(z, j_lo, j_hi, *, work=None):
     """Per-row sup |W(j/n) - (j/n) W(1)| over grid points j in [j_lo, j_hi].
 
     ``z`` is a (draws, n) array of standard-normal increments.
     """
     z = np.ascontiguousarray(z, dtype=np.float64)
     B, n = z.shape
-    w = np.cumsum(z, axis=1)
+    w, tmp = carve(work, z.shape, z.shape)
+    np.cumsum(z, axis=1, out=w)
     w *= 1.0 / np.sqrt(n)
-    seg = bridge_in_place(w)[:, max(int(j_lo), 1) - 1 : int(j_hi)]
+    seg = bridge_in_place(w, tmp)[:, max(int(j_lo), 1) - 1 : int(j_hi)]
     if seg.shape[1] == 0:
         return np.zeros(B)
     return np.abs(seg, out=seg).max(axis=1)
 
 
-def qp_sup(z, j_lo, j_hi):
+def qp_sup(z, j_lo, j_hi, *, work=None):
     """Per-row sup of the squared normalized vector bridge over grid points.
 
     ``z`` is (draws, p, n); the statistic at grid fraction pi = j/n is
@@ -202,9 +216,11 @@ def qp_sup(z, j_lo, j_hi):
     z = np.ascontiguousarray(z, dtype=np.float64)
     j_lo, j_hi = int(j_lo), int(j_hi)
     n = z.shape[-1]
-    bb = np.cumsum(z, axis=2)
+    bb, tmp = carve(work, z.shape, z.shape)
+    np.cumsum(z, axis=2, out=bb)
     bb *= 1.0 / np.sqrt(n)
-    q = np.sum(np.square(bridge_in_place(bb), out=bb), axis=1)[:, j_lo - 1 : j_hi]
+    np.square(bridge_in_place(bb, tmp), out=bb)
+    q = np.sum(bb, axis=1, out=tmp[:, 0])[:, j_lo - 1 : j_hi]
     frac_in = np.arange(j_lo, j_hi + 1) / n
     q /= frac_in * (1.0 - frac_in)
     return q.max(axis=1)
@@ -221,25 +237,28 @@ def _lur_drive_coeffs(c, dt):
     return decay, lam
 
 
-def lur_cusum_sup(dbe, dbu, c):
+def lur_cusum_sup(dbe, dbu, c, *, work=None):
     """Per-row sup of the persistence-contaminated bridge functional.
 
     ``dbe``/``dbu`` are (draws, n) Brownian increments (already scaled by
-    sqrt(dt) and carrying any cross-correlation).  The mean-reverting process
-    is driven by ``dbu`` with exact one-step decay, and all stochastic
-    integrals use left-endpoint sums.
+    sqrt(dt) and carrying any cross-correlation), rows not necessarily
+    adjacent.  The mean-reverting process is driven by ``dbu`` with exact
+    one-step decay, and all stochastic integrals use left-endpoint sums.
     """
-    dbe = np.ascontiguousarray(dbe, dtype=np.float64)
-    dbu = np.ascontiguousarray(dbu, dtype=np.float64)
+    dbe = np.asarray(dbe, dtype=np.float64)
+    dbu = np.asarray(dbu, dtype=np.float64)
     B, n = dbe.shape
     dt = 1.0 / n
     decay, lam = _lur_drive_coeffs(float(c), dt)
-    j_prev = np.zeros((B, n))
-    j_prev[:, 1:] = ar1_path(lam * dbu[:, :-1], decay)
-    int_jsq = np.maximum(np.sum(j_prev * j_prev, axis=1) * dt, 1e-300)
-    correction = np.cumsum(j_prev * dbu, axis=1)
+    (j_prev, correction), (path, tmp) = carve(work, (2, *dbe.shape), (2, *dbe.shape))
+    j_prev[:, 0] = 0.0
+    ar1_path(np.multiply(lam, dbu[:, :-1], out=j_prev[:, 1:]), decay, out=j_prev[:, 1:])
+    int_jsq = np.maximum(np.sum(np.multiply(j_prev, j_prev, out=tmp), axis=1) * dt, 1e-300)
+    np.cumsum(np.multiply(j_prev, dbu, out=correction), axis=1, out=correction)
     correction /= int_jsq[:, None]
-    correction *= np.cumsum(j_prev, axis=1, out=j_prev) * dt
-    path = bridge_in_place(np.cumsum(dbe, axis=1))
-    path -= bridge_in_place(correction)
+    np.cumsum(j_prev, axis=1, out=j_prev)
+    j_prev *= dt
+    correction *= j_prev
+    bridge_in_place(np.cumsum(dbe, axis=1, out=path), tmp)
+    path -= bridge_in_place(correction, tmp)
     return np.abs(path, out=path).max(axis=1)

@@ -18,8 +18,9 @@ discretized as left-endpoint sums.  Tabulation draws are indexed by
 stream id (one stream per draw from the dedicated limit-draw namespace), so
 tables are reproducible and independent of any batching or scheduling.
 Draws come in cache-sized blocks of at most ``_BLOCK_BYTES`` of normals,
-each reduced to its draws while still in cache, so memory stays bounded by
-that budget whatever the number of draws.
+each reduced to its draws while still in cache inside one workspace of two
+budgets allocated once per tabulation.  So memory stays at about three
+budgets, the normals plus the workspace, whatever the number of draws.
 """
 
 import math
@@ -129,30 +130,35 @@ def _window(nu, n_steps):
     return max(math.ceil(nu * n_steps - 1e-9), 1), min(math.floor((1.0 - nu) * n_steps + 1e-9), n_steps - 1)
 
 
-def _reduce(kind, z, nu, c, corr):
+def _workspace(rows, shape):
+    """Scratch for any reduction of ``rows`` draws of ``shape``: two flat budgets, each the size of the normals."""
+    return np.empty(rows * math.prod(shape)), np.empty(rows * math.prod(shape))
+
+
+def _reduce(kind, z, nu, c, corr, work):
     """One value of ``kind`` per draw in ``z``, a stack of normals of its checked draw shape.
 
-    Kernels are looked up on :mod:`kernels` at each call, so tracing can wrap them.
+    It owns ``z`` and may overwrite it, and reduces inside ``work``, a :func:`_workspace`.  Kernels
+    are looked up on :mod:`kernels` at each call, so tracing can wrap them; ``work`` goes by keyword.
     """
     n_steps = z.shape[-1]
     if kind == "supabsbb":
-        return kernels.bridge_sup(z, *_window(nu, n_steps))
+        return kernels.bridge_sup(z, *_window(nu, n_steps), work=work)
     if kind == "supqp":
-        return kernels.qp_sup(z, *_window(nu, n_steps))
+        return kernels.qp_sup(z, *_window(nu, n_steps), work=work)
     if kind == "supabslurcusum":
-        # error and regressor motions with correlation corr, both scaled by sqrt(dt)
-        sdt = math.sqrt(1.0 / n_steps)
-        dbe = z[:, 0] * sdt
-        dbu = corr * z[:, 0]
-        dbu += math.sqrt(1.0 - corr * corr) * z[:, 1]
-        dbu *= sdt
-        return kernels.lur_cusum_sup(dbe, dbu, c)
-    return _cvm_from_increments(z)
+        # error and regressor motions with correlation corr, scaled by sqrt(dt), formed in place in z
+        dbe, dbu = z[:, 0], z[:, 1]
+        dbu *= math.sqrt(1.0 - corr * corr)
+        dbu += np.multiply(corr, dbe, out=kernels.carve(work, dbe.shape)[0])
+        z *= math.sqrt(1.0 / n_steps)
+        return kernels.lur_cusum_sup(dbe, dbu, c, work=work)
+    return _cvm_from_increments(z, work)
 
 
 def _draw_one(kind, stream, n_steps, p=1, nu=0.0, c=None, corr=None):
     shape, (n_steps, p, nu, c, corr) = check_functional(kind, n_steps, p, nu, c, corr)
-    return float(_reduce(kind, stream.standard_normal((1, *shape)), nu, c, corr)[0])
+    return float(_reduce(kind, stream.standard_normal((1, *shape)), nu, c, corr, _workspace(1, shape))[0])
 
 
 def simulate_bridge(n_steps, stream):
@@ -239,15 +245,17 @@ def simulate_cointegration_tstat_limit(phi_ratio, n_steps, stream):
     return float(_coint_t_from_draws(z[None], np.array([extra]), phi_ratio)[0])
 
 
-def _cvm_from_increments(z):
-    """Per-row left-sum quadrature of the squared bridge."""
+def _cvm_from_increments(z, work=None):
+    """Per-row left-sum quadrature of the squared bridge; ``work``: a :func:`_workspace`."""
     B, n = z.shape
-    w = np.zeros((B, n + 1))
-    bb = np.cumsum(z, axis=1, out=w[:, 1:])
-    bb *= 1.0 / math.sqrt(n)
-    kernels.bridge_in_place(bb)
+    w, tmp = kernels.carve(work, (B, n), (B, n))  # w: the bridge at 0, 1/n, ..., (n-1)/n
+    w[:, 0] = 0.0
+    np.cumsum(z[:, :-1], axis=1, out=w[:, 1:])
+    w_one = (w[:, -1:] + z[:, -1:]) * (1.0 / math.sqrt(n))
+    w[:, 1:] *= 1.0 / math.sqrt(n)
+    w[:, 1:] -= np.multiply(np.arange(1, n) / n, w_one, out=tmp[:, 1:])
     np.multiply(w, w, out=w)
-    return np.sum(w[:, :-1], axis=1) / n
+    return np.sum(w, axis=1) / n
 
 
 def simulate_cvm_p1(n_steps, stream):
@@ -262,11 +270,12 @@ def simulate_cvm_p1(n_steps, stream):
 def _draw_block(kind, master_seed, lo, hi, n_steps, p, nu, c, corr):
     """Draws lo..hi-1 of ``kind``, in sub-blocks of at most ``_BLOCK_BYTES`` of normals."""
     shape, (n_steps, p, nu, c, corr) = check_functional(kind, n_steps, p, nu, c, corr)
-    rows = max(1, _BLOCK_BYTES // (8 * math.prod(shape)))
+    rows = max(1, min(hi - lo, _BLOCK_BYTES // (8 * math.prod(shape))))
+    work = _workspace(rows, shape)  # reused by every sub-block; each one's normals die with its reduction
     draws = np.empty(hi - lo)
     for start in range(lo, hi, rows):
-        z = limit_draw_stream(master_seed, range(start, min(start + rows, hi))).normal_rows(shape)
-        draws[start - lo : start - lo + rows] = _reduce(kind, z, nu, c, corr)
+        stack = limit_draw_stream(master_seed, range(start, min(start + rows, hi)))
+        draws[start - lo : start - lo + rows] = _reduce(kind, stack.normal_rows(shape), nu, c, corr, work)
     return draws
 
 

@@ -230,6 +230,38 @@ def test_report_identical_across_worker_counts(tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+def test_a_lone_chunk_is_cut_for_every_worker(tmp_path, monkeypatch):
+    # one draw shape and 100 replications make a single chunk; with more
+    # workers than chunks the replications are cut into nearly equal ranges
+    import concurrent.futures
+
+    ranges = []
+
+    class InlinePool:  # records each payload's replication range, runs in-process
+        def __init__(self, max_workers):
+            pass
+
+        def map(self, fn, payloads):
+            payloads = list(payloads)
+            ranges.append([payload[3:5] for payload in payloads])
+            return map(fn, payloads)
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    spec = _small_spec(n_reps=100, stat_kinds=("cusum", "wald"))
+    files = {}
+    for workers, want in ((1, None), (2, [(0, 50), (50, 100)]), (3, [(0, 33), (33, 66), (66, 100)])):
+        report = run_experiment(spec, workers=workers, paths_sample=3)
+        if want is not None:
+            assert ranges.pop() == want
+        report_to_csv(report, tmp_path / "r.csv")
+        paths_to_csv(report, tmp_path / "p.csv")
+        files[workers] = (tmp_path / "r.csv").read_bytes(), (tmp_path / "p.csv").read_bytes()
+    assert files[1] == files[2] == files[3]
+
+
 # ---------------------------------------------------------------------------
 # harness self-tests with stub statistics
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from breaklab.kernels import (
     qp_sup,
     wald_scan,
 )
-from breaklab.limit_lab import _cvm_from_increments
+from breaklab.limit_lab import FUNCTIONAL_KINDS, _cvm_from_increments, _draw_block, _draw_one
+from breaklab.rng import limit_draw_stream
 
 # ---------------------------------------------------------------------------
 # ar1_path
@@ -230,3 +231,73 @@ def test_ar1_path_stack_with_per_row_start_matches_scalar_recursion(rho):
     assert_allclose(out, expected, rtol=0, atol=0)
     # Fortran-ordered shocks give the same paths
     assert_allclose(ar1_path(np.asfortranarray(shocks), rho, x0), expected, rtol=0, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# caller-given scratch
+# ---------------------------------------------------------------------------
+
+def test_ar1_path_into_out_matches_a_fresh_path():
+    gen = np.random.default_rng(4)
+    shocks = gen.standard_normal((5, 40))
+    x0 = gen.standard_normal(5)
+    fresh = ar1_path(shocks, 0.9, x0)
+    aliased = shocks.copy()  # out is the shocks themselves
+    assert ar1_path(aliased, 0.9, x0, out=aliased) is aliased
+    assert aliased.tobytes() == fresh.tobytes()
+    wide = np.full((5, 41), np.nan)  # out is a strided column view
+    assert ar1_path(shocks, 0.9, x0, out=wide[:, 1:]).tobytes() == fresh.tobytes()
+    assert np.isnan(wide[:, 0]).all()
+    assert ar1_path(shocks[0], 0.9, out=np.empty(40)).tobytes() == ar1_path(shocks[0], 0.9).tobytes()
+
+
+_W = np.random.default_rng(17).standard_normal((7, 3, 120))
+
+
+@pytest.mark.parametrize(
+    "kernel,args",
+    [
+        (bridge_sup, (_W[:, 0].copy(), 5, 110)),
+        (qp_sup, (_W.copy(), 12, 108)),
+        (lur_cusum_sup, (_W[:, 0] * 0.1, _W[:, 1] * 0.1, -5.0)),
+        (lur_cusum_sup, (_W[:, 0] * 0.1, _W[:, 2] * 0.1, 0.0)),
+        (lur_cusum_sup, (_W[:, 1], _W[:, 2], 2.0)),  # rows of strided views
+        (_cvm_from_increments, (_W[:, 2].copy(),)),
+    ],
+    ids=["bridge_sup", "qp_sup", "lur_cusum_sup", "lur_cusum_sup-c0", "lur_cusum_sup-strided",
+         "cvm_from_increments"],
+)
+def test_limit_kernels_give_the_same_bits_with_caller_scratch(kernel, args):
+    arrays = [a for a in args if isinstance(a, np.ndarray)]
+    before = [a.copy() for a in arrays]
+    fresh = kernel(*args)
+    # stale scratch, larger than needed: no kernel may read what it did not write
+    work = np.full(_W.size, np.nan), np.full(_W.size, np.nan)
+    if kernel is _cvm_from_increments:
+        got = kernel(*args, work)
+    else:
+        got = kernel(*args, work=work)
+    assert got.tobytes() == fresh.tobytes()
+    for a, b in zip(arrays, before):
+        assert a.tobytes() == b.tobytes()
+
+
+_ONE_PARAMS = [
+    ("supabsbb", 1, 0.0, None, None),
+    ("supabsbb", 1, 0.1, None, None),
+    ("supqp", 1, 0.15, None, None),
+    ("supqp", 3, 0.2, None, None),
+    ("supabslurcusum", 1, 0.0, -5.0, -0.5),
+    ("supabslurcusum", 1, 0.0, 0.0, 1.0),
+    ("cvmp1trace", 1, 0.0, None, None),
+]
+
+
+@pytest.mark.parametrize("kind,p,nu,c,corr", _ONE_PARAMS)
+@pytest.mark.parametrize("n_steps", [10, 137])
+def test_single_draws_equal_draw_block_rows(kind, p, nu, c, corr, n_steps):
+    assert {params[0] for params in _ONE_PARAMS} == set(FUNCTIONAL_KINDS)
+    seed, lo, hi = 19, 4, 13
+    block = _draw_block(kind, seed, lo, hi, n_steps, p, nu, c, corr)
+    ones = [_draw_one(kind, limit_draw_stream(seed, i), n_steps, p, nu, c, corr) for i in range(lo, hi)]
+    assert block.tobytes() == np.array(ones).tobytes()

@@ -389,6 +389,31 @@ def test_tabulation_memory_is_bounded_by_the_block_budget():
     assert peak < bound
 
 
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("supabsbb", {}),
+        ("supqp", {"p": 2, "nu": 0.15}),
+        ("supqp", {"p": 3, "nu": 0.15}),
+        ("supabslurcusum", {"c": -5.0, "corr": -0.5}),
+        ("cvmp1trace", {}),
+    ],
+    ids=["supabsbb", "supqp-p2", "supqp-p3", "supabslurcusum", "cvmp1trace"],
+)
+def test_tabulation_reuses_one_workspace_of_three_budgets(kind, params):
+    # One tabulation holds the sub-block's normals and two budgets of scratch,
+    # reused by every sub-block; half a budget covers the draws and
+    # everything small.
+    bound = 3.5 * limit_lab._BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        tabulate(kind, [0.95], 4096, n_steps=2000, **params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
 def test_table_json_round_trip(tmp_path):
     table = tabulate(
         "supqp", levels=[0.95], n_reps=1000, n_steps=200, master_seed=5, p=2, nu=0.15
