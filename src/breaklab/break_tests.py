@@ -148,6 +148,17 @@ def _bridge_centered(values, k_lo, k_hi):
     return ks, sums[..., k_lo - 1 : k_hi] - (ks / T) * sums[..., -1:]
 
 
+def _cusum_outcome(kind, fit, nu, sided, values, spread):
+    """Bridge-centered partial sums of ``values`` scaled by sqrt(spread * T)."""
+    valid, nu, scan = _scan_setup(kind, fit, nu)
+    ks, centered = _bridge_centered(values, *scan)
+    scale = np.expand_dims(np.sqrt(spread) * math.sqrt(fit.n_obs), -1)
+    # zero spread: an exactly centered path (constant squared residuals), no evidence
+    with np.errstate(divide="ignore", invalid="ignore"):
+        path = np.where(scale == 0.0, 0.0, centered / scale)
+    return _finish(kind, ks, path, nu, fit.p, sided, valid)
+
+
 def cusum_path(fit, nu=None, sided=TWO_SIDED_ABS):
     """Bridge-centered, variance-normalized residual partial-sum path.
 
@@ -162,10 +173,7 @@ def cusum_path(fit, nu=None, sided=TWO_SIDED_ABS):
         ``two_sided_abs`` (default) takes the sup of |path|; ``signed``
         takes the sup of the path itself.
     """
-    valid, nu, scan = _scan_setup("cusum", fit, nu)
-    ks, centered = _bridge_centered(fit.residuals, *scan)
-    scale = np.sqrt(fit.sigma_hat_sq) * math.sqrt(fit.n_obs)
-    return _finish("cusum", ks, centered / np.expand_dims(scale, -1), nu, fit.p, sided, valid)
+    return _cusum_outcome("cusum", fit, nu, sided, fit.residuals, fit.sigma_hat_sq)
 
 
 def cusum_sq_path(fit, nu=None, normalization=CUSUMSQ_NORM_SQ_SD, sided=TWO_SIDED_ABS):
@@ -177,20 +185,14 @@ def cusum_sq_path(fit, nu=None, normalization=CUSUMSQ_NORM_SQ_SD, sided=TWO_SIDE
     residual standard deviation (the literal display form); that variant is
     not pivotal and exists for comparison.
     """
-    valid, nu, scan = _scan_setup("cusumsq", fit, nu)
     sq = fit.residuals**2
-    ks, centered = _bridge_centered(sq, *scan)
     if normalization == CUSUMSQ_NORM_SQ_SD:
         spread = np.mean((sq - np.mean(sq, axis=-1, keepdims=True)) ** 2, axis=-1)
     elif normalization == CUSUMSQ_NORM_RESID_SD:
         spread = fit.sigma_hat_sq
     else:
         raise SpecError(f"unknown cusumsq normalization {normalization!r}")
-    scale = np.expand_dims(np.sqrt(spread) * math.sqrt(fit.n_obs), -1)
-    # constant squared residuals: exactly centered path, no evidence
-    with np.errstate(divide="ignore", invalid="ignore"):
-        path = np.where(scale == 0.0, 0.0, centered / scale)
-    return _finish("cusumsq", ks, path, nu, fit.p, sided, valid)
+    return _cusum_outcome("cusumsq", fit, nu, sided, sq, spread)
 
 
 def _is_intercept_only(X):
@@ -272,12 +274,14 @@ def evaluate_block(kind, fit, nu):
 class StatRecipe:
     """How the engine computes one statistic kind and how it is tested.
 
-    ``compute(block, nu)`` evaluates a block of replications (with ``fit``,
-    ``samples`` and ``caches``): the sup per replication (NaN where it
-    failed), per replication ``(ks, path)`` or None, and the number of
-    skipped Wald splits.  ``table_kinds`` may calibrate it (the engine uses
-    the first; none means a critical value of 0), at the dimension
-    ``limit_dim(design_dim)`` and, by default, the trimming ``default_nu``.
+    ``compute(stack, fit, nu)`` evaluates a block of replications, a
+    :class:`~breaklab.dgp.SampleStack` with its pooled ``fit``, and returns
+    the stacked outcome: ``sup_value`` per replication (NaN where it
+    failed), ``path`` rows over one shared ``ks`` and ``skipped`` (the
+    number of skipped Wald splits) per replication.  ``table_kinds`` may
+    calibrate it (the engine uses the first; none means a critical value of
+    0), at the dimension ``limit_dim(design_dim)`` and, by default, the
+    trimming ``default_nu``.
     """
 
     compute: object
@@ -286,28 +290,29 @@ class StatRecipe:
     default_nu: float = 0.0
 
 
-def _on_fit(kind, block, nu):
+def _on_fit(kind, stack, fit, nu):
     """Block compute of a built-in statistic: one evaluation on the stacked pooled fits."""
-    out = evaluate_block(kind, block.fit, nu)
-    rows = [None if np.isnan(sup) else (out.ks, path) for sup, path in zip(out.sup_value, out.path)]
-    return out.sup_value, rows, int(np.sum(out.skipped))
+    return evaluate_block(kind, fit, nu)
 
 
-def _per_sample(compute):
-    """Block form of ``compute(sample, nu, cache)``, which returns an outcome
-    with ``sup_value``, ``ks`` and ``path`` or raises for that sample."""
+def _per_sample(kind, compute):
+    """Block form of ``compute(sample, nu, cache)`` (see :func:`register_statistic`):
+    the replications' outcomes stacked, with no ``argmax_k``; ``ks`` and
+    ``path`` stay None when every replication fails."""
 
-    def block_compute(block, nu):
-        sups = np.full(len(block), np.nan)
-        rows = [None] * len(block)
-        for i, (sample, cache) in enumerate(zip(block.samples, block.caches)):
+    def block_compute(stack, fit, nu):
+        sups = np.full(len(stack), np.nan)
+        ks = path = None
+        for i in range(len(stack)):
             try:
-                outcome = compute(sample, nu, cache)
+                outcome = compute(stack.sample(i), nu, {})
             except BreakLabError:
                 continue
-            sups[i] = outcome.sup_value
-            rows[i] = (outcome.ks, outcome.path)
-        return sups, rows, 0
+            if path is None:
+                ks = np.asarray(outcome.ks)
+                path = np.full((len(stack), len(ks)), np.nan)
+            sups[i], path[i] = outcome.sup_value, outcome.path
+        return TestOutcome(kind, ks, path, sups, None, nu, 1, SIGNED, np.zeros(len(stack), int))
 
     return block_compute
 
@@ -325,11 +330,15 @@ STAT_RECIPES = {
 def register_statistic(kind, compute):
     """Register an additional statistic kind (used by harness self-tests).
 
-    ``compute(sample, nu, cache)`` is called once per replication; ``cache``
-    is a dict shared by the statistics of that replication.  The kind is
-    decided at a critical value of 0, with limit dimension 1 and trimming 0.
+    ``compute(sample, nu, cache)`` is called once per replication with a
+    fresh ``cache`` dict; it returns an outcome with ``sup_value``, ``ks``
+    and ``path``, the same ``ks`` for every replication of a cell, or raises
+    :class:`~breaklab.errors.BreakLabError` where the sample fails.  The
+    replication counts as failed there and wherever ``sup_value`` is NaN.
+    The kind is decided at a critical value of 0, with limit dimension 1
+    and trimming 0.
     """
-    STAT_RECIPES[kind] = StatRecipe(_per_sample(compute))
+    STAT_RECIPES[kind] = StatRecipe(_per_sample(kind, compute))
 
 
 def decide(outcome, table, level):

@@ -17,14 +17,13 @@ stacked fits.
 """
 
 import logging
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import dgp, limit_lab
-from .break_tests import STAT_RECIPES, register_statistic  # noqa: F401  (re-exported)
-from .errors import BreakLabError, SpecError, TableLookupError
+from .break_tests import STAT_RECIPES, register_statistic, scan_range  # noqa: F401  (re-exported)
+from .errors import SpecError, TableLookupError
 from .estimators import ols_fit
 from .rng import DEFAULT_MASTER_SEED, InnovCov, replication_stream
 from .schema import SCHEMA_VERSION, jsonable, typed
@@ -34,23 +33,6 @@ log = logging.getLogger(__name__)
 #: most replications per worker task; with fewer tasks than workers, chunks are cut
 #: smaller.  No result depends on the cut: each replication draws its own stream
 CHUNK_SIZE = 256
-
-REPORT_COLUMNS = (
-    "family",
-    "T",
-    "s",
-    "c",
-    "corr",
-    "stat",
-    "nu",
-    "level",
-    "n_reps",
-    "failed",
-    "reject_rate",
-    "mc_se",
-    "sup_q50",
-    "sup_q95",
-)
 
 PATHS_COLUMNS = ("family", "T", "s", "c", "corr", "stat", "rep", "k", "value")
 
@@ -105,6 +87,9 @@ class ExperimentSpec:
             raise SpecError(f"n_reps must be at least 100, got {self.n_reps}")
         if not 0.0 < self.level < 1.0:
             raise SpecError(f"level must lie in (0, 1), got {self.level}")
+        for dspec in self.dgp_grid:  # a cell with no candidate split fails before any draw
+            for kind in self.stat_kinds:
+                scan_range(dspec.T, dspec.design_dim, self.nu_for(kind))
 
     def nu_for(self, kind):
         return STAT_RECIPES[kind].default_nu if self.nu is None else float(self.nu)
@@ -232,34 +217,6 @@ def resolve_tables(spec):
 # replication engine
 # ---------------------------------------------------------------------------
 
-class SampleBlock:
-    """Consecutive replications of one cell: rows of a generated
-    :class:`~breaklab.dgp.SampleStack`.
-
-    ``X`` is (R, T, p) and ``y`` (R, T).  The pooled fit of every sample is
-    computed once, on first use, and shared by all statistics.
-    """
-
-    def __init__(self, stack):
-        self.stack = stack
-        self.X = stack.X
-        self.y = stack.y
-        self.caches = [{} for _ in range(len(stack))]
-
-    def __len__(self):
-        return len(self.stack)
-
-    @cached_property
-    def samples(self):
-        return [self.stack.sample(i) for i in range(len(self.stack))]
-
-    @cached_property
-    def fit(self):
-        # a rank-deficient row holds no estimate and may overflow; it is discarded
-        with np.errstate(over="ignore", invalid="ignore"):
-            return ols_fit(self)
-
-
 #: chunk count of replications whose pooled design failed the rank check
 #: (every statistic fails on them), kept next to the skipped-split counts
 RANK_DEFICIENT = "pooled designs rank deficient"
@@ -288,31 +245,31 @@ def stack_size(T, p):
 def _evaluate_stack(stack, stack_lo, rep_lo, stat_items, paths_upto, result):
     """Evaluate one cell's generated replications ``stack_lo ..`` in blocks of
     :func:`block_size` into its chunk ``result`` ``(sups, paths, skipped)``,
-    whose first replication is ``rep_lo``; the stack is freed on return."""
+    whose first replication is ``rep_lo``; the stack is freed on return.
+
+    Each block gets one pooled fit, and each statistic returns its stacked
+    outcome on it; a path is kept for a sampled replication whose sup is
+    defined.  The spec has already refused a cell with no candidate split.
+    """
     sups, paths, skipped = result
     step = block_size(stack.truth.T, stack.truth.design_dim)
     for i in range(0, len(stack), step):
-        block = SampleBlock(stack.rows(i, i + step))
+        block = stack.rows(i, i + step)
+        # a rank-deficient row holds no estimate and may overflow; it is discarded
+        with np.errstate(over="ignore", invalid="ignore"):
+            fit = ols_fit(block)
+        skipped[RANK_DEFICIENT] += int(np.count_nonzero(~fit.full_rank))
         lo = stack_lo + i
-        hi = lo + len(block)
-        try:
-            skipped[RANK_DEFICIENT] += int(np.count_nonzero(~block.fit.full_rank))
-        except BreakLabError:  # no pooled fit at all: fewer rows than columns
-            pass
-        rows = {}
+        outs = {}
         for kind, nu in stat_items:
-            try:
-                block_sups, rows[kind], n_skipped = STAT_RECIPES[kind].compute(block, nu)
-            except BreakLabError:  # the same for every replication, e.g. no feasible split
-                rows[kind] = [None] * len(block)
-                continue
-            sups[kind][lo - rep_lo : hi - rep_lo] = block_sups
-            skipped[kind] += n_skipped
-        for rep in range(lo, min(hi, paths_upto)):
+            outs[kind] = out = STAT_RECIPES[kind].compute(block, fit, nu)
+            sups[kind][lo - rep_lo : lo - rep_lo + len(block)] = out.sup_value
+            skipped[kind] += int(np.sum(out.skipped))
+        for j in range(min(len(block), paths_upto - lo)):
             for kind, _ in stat_items:
-                row = rows[kind][rep - lo]
-                if row is not None:
-                    paths.append((rep, kind, row[0].copy(), row[1].copy()))
+                out = outs[kind]
+                if not np.isnan(out.sup_value[j]):
+                    paths.append((lo + j, kind, out.ks, out.path[j].copy()))
 
 
 def _run_cells(payload):
@@ -375,6 +332,9 @@ class McRow:
     mc_se: float
     sup_q50: float
     sup_q95: float
+
+
+REPORT_COLUMNS = tuple(f.name for f in fields(McRow))
 
 
 @dataclass

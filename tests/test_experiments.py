@@ -1,12 +1,13 @@
 """Monte Carlo engine: determinism, harness self-tests, and bookkeeping."""
 
+import json
 import logging
 
 import numpy as np
 import pytest
 
 from breaklab.break_tests import cusum_path
-from breaklab.dgp import DgpSpec, generate
+from breaklab.dgp import DgpSpec, generate, spec_from_config
 from breaklab.errors import DegenerateSampleError, SpecError, TableLookupError
 from breaklab.estimators import ols_fit
 from breaklab.experiments import (
@@ -94,6 +95,30 @@ def test_experiment_config_rejects_unknown_key():
 def test_experiment_config_must_be_an_object():
     with pytest.raises(SpecError, match="JSON object"):
         experiment_from_config([experiment_to_config(_small_spec())])
+
+
+def test_a_cell_with_no_candidate_split_is_refused_before_any_draw(tmp_path, capfd, monkeypatch):
+    # T=5 with p=3 leaves no split k with p <= k <= T - p at any trimming
+    from breaklab import limit_lab, rng
+    from breaklab.cli import main
+
+    cell = {"family": "linear_regression", "T": 5, "beta_pre": [1.0, 0.5, 0.2]}
+    with pytest.raises(SpecError, match="no candidate break indices for T=5, p=3"):
+        _small_spec(dgp_grid=(_location_null(), spec_from_config(cell)))
+    calls = []
+    real_tabulate, real_normal_rows = limit_lab.tabulate, rng.StreamStack.normal_rows
+    monkeypatch.setattr(limit_lab, "tabulate", lambda *a, **k: calls.append("tabulate") or real_tabulate(*a, **k))
+    monkeypatch.setattr(
+        rng.StreamStack, "normal_rows", lambda *a, **k: calls.append("normal_rows") or real_normal_rows(*a, **k)
+    )
+    cfg = experiment_to_config(_small_spec(stat_kinds=("cusum", "wald")))
+    cfg["dgp_grid"].append(cell)
+    (tmp_path / "spec.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out.csv"
+    assert main(["experiment", "--spec", str(tmp_path / "spec.json"), "--out", str(out)]) == 2
+    err = capfd.readouterr().err
+    assert "T=5, p=3" in err and "Traceback" not in err
+    assert calls == [] and not out.exists()
 
 
 def test_per_stat_default_trimming():
@@ -303,6 +328,16 @@ def test_failed_replications_counted_not_dropped(stat_registry):
         if generate(_location_null(), replication_stream(11, r)).y[0] < 0
     )
     assert row.failed == expected_failed
+
+
+def test_a_path_is_written_only_for_a_defined_sup(stat_registry):
+    # the stub fails without raising: a NaN sup counts as failed, and its path is not sampled
+    register_statistic("_nan_flaky", lambda s, nu, cache: _FixedOutcome(np.nan if s.y[0] < 0 else 1.0))
+    report = run_experiment(_small_spec(stat_kinds=("_nan_flaky",), master_seed=3), paths_sample=10)
+    defined = [r for r in range(10) if generate(_location_null(), replication_stream(3, r)).y[0] >= 0]
+    assert 0 < len(defined) < 10
+    assert [rep for _, _, rep, _, _ in report.paths] == defined
+    assert all(np.isfinite(path).all() for *_, path in report.paths)
 
 
 def test_trimming_monotonicity_per_replication():

@@ -108,6 +108,22 @@ def test_engine_sups_equal_the_per_sample_functions(cell, seed):
         assert all(np.isnan(sups[kind]).all() for kind, _ in STATS)
 
 
+@pytest.mark.parametrize("cell", sorted(CELLS))
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), paths_upto=st.integers(0, 12))
+def test_paths_are_sampled_exactly_for_defined_sups(cell, seed, paths_upto):
+    # rep-major, then in statistic order: every sampled replication whose sup is defined
+    lo, n = 3, 6 if cell == "explosive" else 8
+    _, sups, paths, _ = _chunk(CELLS[cell], seed, lo, lo + n, paths_upto)
+    want = [
+        (rep, kind)
+        for rep in range(lo, min(lo + n, paths_upto))
+        for kind, _ in STATS
+        if not np.isnan(sups[kind][rep - lo])
+    ]
+    assert [(rep, kind) for rep, kind, _, _ in paths] == want
+
+
 @pytest.mark.parametrize("group", sorted(GROUPS))
 @PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), small_stacks=st.booleans(), paths_upto=st.integers(0, 6))
