@@ -140,18 +140,11 @@ def _finish(kind, ks, path, nu, design_dim, sided, valid, skipped=()):
 # same functions.
 # ---------------------------------------------------------------------------
 
-def _bridge_centered(values, k_lo, k_hi):
-    """(S_k - (k/T) S_T) for k in [k_lo, k_hi], S the running sum of values."""
-    T = values.shape[-1]
-    sums = np.cumsum(values, axis=-1)
-    ks = np.arange(k_lo, k_hi + 1)
-    return ks, sums[..., k_lo - 1 : k_hi] - (ks / T) * sums[..., -1:]
-
-
 def _cusum_outcome(kind, fit, nu, sided, values, spread):
     """Bridge-centered partial sums of ``values`` scaled by sqrt(spread * T)."""
-    valid, nu, scan = _scan_setup(kind, fit, nu)
-    ks, centered = _bridge_centered(values, *scan)
+    valid, nu, (k_lo, k_hi) = _scan_setup(kind, fit, nu)
+    ks = np.arange(k_lo, k_hi + 1)
+    centered = kernels.bridge_in_place(np.cumsum(values, axis=-1))[..., k_lo - 1 : k_hi]
     scale = np.expand_dims(np.sqrt(spread) * math.sqrt(fit.n_obs), -1)
     # zero spread: an exactly centered path (constant squared residuals), no evidence
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -135,16 +135,17 @@ def split_fit(sample, k):
 
 
 def residual_partial_sums(fit):
-    """Running sums S_t = sum_{j<=t} x_j * resid_j, one p-vector per row.
+    """Running sums S_t = sum_{j<=t} x_j * resid_j, one p-vector per row
+    (per sample of a stacked fit).
 
     With an all-ones design this is the plain cumulative sum of residuals,
     which is the raw material of the residual-based statistics.
     """
-    return np.cumsum(fit.design * fit.residuals[:, None], axis=0)
+    return np.cumsum(fit.design * fit.residuals[..., None], axis=-2)
 
 
 def partial_sum_covariance(fit):
     """Moment matrix of the residual partial sums, scaled by T^-2."""
     sums = residual_partial_sums(fit)
     T = fit.n_obs
-    return (sums.T @ sums) / (T * T)
+    return (np.swapaxes(sums, -1, -2) @ sums) / (T * T)

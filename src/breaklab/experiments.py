@@ -6,14 +6,13 @@ byte-identical results.  The cells of a grid are grouped by the shape of
 the normals their DGP draws (:func:`~breaklab.dgp.draw_shape`); cells of
 one group draw the same normals, so each stack of replications draws them
 once for the whole group.  A group's replications are cut into nearly equal
-chunks, enough to keep every worker busy, and one payload is one chunk of
-one group; all payloads go through one map, over a process pool when
-``workers > 1``, so no worker waits at a cell boundary.  Results are then
-aggregated, logged and reported per cell in grid order.  Inside a chunk,
-replications are generated together, in stacks bounded by
-:data:`STACK_BYTES`, and evaluated in smaller blocks: each replication gets
-one pooled fit, and each statistic is evaluated once per block on the
-stacked fits.
+stacks of at most :data:`CHUNK_SIZE`, bounded by :data:`STACK_BYTES` and
+enough to keep every worker busy, and one payload is one stack of one group;
+all payloads go through one map, over a process pool when ``workers > 1``,
+so no worker waits at a cell boundary.  Results are then aggregated, logged
+and reported per cell in grid order.  A payload's replications are generated
+together and evaluated in smaller blocks: each replication gets one pooled
+fit, and each statistic is evaluated once per block on the stacked fits.
 """
 
 import logging
@@ -30,8 +29,9 @@ from .schema import SCHEMA_VERSION, jsonable, typed
 
 log = logging.getLogger(__name__)
 
-#: most replications per worker task; with fewer tasks than workers, chunks are cut
-#: smaller.  No result depends on the cut: each replication draws its own stream
+#: most replications per worker task; a large design's stack (:func:`stack_size`)
+#: or fewer tasks than workers cuts them smaller.  No result depends on the cut:
+#: each replication draws its own stream
 CHUNK_SIZE = 256
 
 PATHS_COLUMNS = ("family", "T", "s", "c", "corr", "stat", "rep", "k", "value")
@@ -87,9 +87,12 @@ class ExperimentSpec:
             raise SpecError(f"n_reps must be at least 100, got {self.n_reps}")
         if not 0.0 < self.level < 1.0:
             raise SpecError(f"level must lie in (0, 1), got {self.level}")
-        for dspec in self.dgp_grid:  # a cell with no candidate split fails before any draw
+        for cell, dspec in enumerate(self.dgp_grid):  # a cell with no candidate split fails before any draw
             for kind in self.stat_kinds:
-                scan_range(dspec.T, dspec.design_dim, self.nu_for(kind))
+                try:
+                    scan_range(dspec.T, dspec.design_dim, self.nu_for(kind))
+                except SpecError as exc:
+                    raise SpecError(f"dgp_grid[{cell}] ({dspec.family}, T={dspec.T}) with {kind}: {exc}") from None
 
     def nu_for(self, kind):
         return STAT_RECIPES[kind].default_nu if self.nu is None else float(self.nu)
@@ -225,8 +228,8 @@ RANK_DEFICIENT = "pooled designs rank deficient"
 #: regime factors and partial sums of every stacked replication)
 BLOCK_BYTES = 1 << 20
 
-#: budget of one generation stack: the normals, paths, y and X of every
-#: replication generated at once
+#: budget of one generation stack, which is one payload: the normals, paths,
+#: y and X of every replication generated at once
 STACK_BYTES = 1 << 23
 
 
@@ -237,21 +240,23 @@ def block_size(T, p):
 
 
 def stack_size(T, p):
-    """Replications generated at once: as many as keep about four T x (p + 1)
-    arrays per replication within :data:`STACK_BYTES` (174 at T=500, p=2)."""
+    """Replications generated at once, the most one payload holds: as many as
+    keep about four T x (p + 1) arrays per replication within
+    :data:`STACK_BYTES` (174 at T=500, p=2)."""
     return max(1, STACK_BYTES // (8 * T * 4 * (p + 1)))
 
 
-def _evaluate_stack(stack, stack_lo, rep_lo, stat_items, paths_upto, result):
-    """Evaluate one cell's generated replications ``stack_lo ..`` in blocks of
-    :func:`block_size` into its chunk ``result`` ``(sups, paths, skipped)``,
-    whose first replication is ``rep_lo``; the stack is freed on return.
+def _evaluate_stack(stack, rep_lo, stat_items, paths_upto):
+    """Evaluate one cell's generated replications ``rep_lo ..`` in blocks of
+    :func:`block_size`; returns ``(sups, paths, skipped)`` as
+    :func:`_run_chunk` describes.
 
     Each block gets one pooled fit, and each statistic returns its stacked
     outcome on it; a path is kept for a sampled replication whose sup is
     defined.  The spec has already refused a cell with no candidate split.
     """
-    sups, paths, skipped = result
+    sups = {kind: np.full(len(stack), np.nan) for kind, _ in stat_items}
+    paths, skipped = [], dict.fromkeys((*sups, RANK_DEFICIENT), 0)
     step = block_size(stack.truth.T, stack.truth.design_dim)
     for i in range(0, len(stack), step):
         block = stack.rows(i, i + step)
@@ -259,17 +264,18 @@ def _evaluate_stack(stack, stack_lo, rep_lo, stat_items, paths_upto, result):
         with np.errstate(over="ignore", invalid="ignore"):
             fit = ols_fit(block)
         skipped[RANK_DEFICIENT] += int(np.count_nonzero(~fit.full_rank))
-        lo = stack_lo + i
+        lo = rep_lo + i
         outs = {}
         for kind, nu in stat_items:
             outs[kind] = out = STAT_RECIPES[kind].compute(block, fit, nu)
-            sups[kind][lo - rep_lo : lo - rep_lo + len(block)] = out.sup_value
+            sups[kind][i : i + len(block)] = out.sup_value
             skipped[kind] += int(np.sum(out.skipped))
         for j in range(min(len(block), paths_upto - lo)):
             for kind, _ in stat_items:
                 out = outs[kind]
                 if not np.isnan(out.sup_value[j]):
                     paths.append((lo + j, kind, out.ks, out.path[j].copy()))
+    return sups, paths, skipped
 
 
 def _run_cells(payload):
@@ -277,33 +283,23 @@ def _run_cells(payload):
     that shares one draw shape; one ``(sups, paths, skipped)`` per cell, as
     :func:`_run_chunk` describes.
 
-    Module-level so it can cross a process boundary.  Each stack draws its
-    normals once, read-only, and every cell is generated and evaluated from
-    them in turn, its stack released before the next cell's is generated:
-    memory stays within :data:`STACK_BYTES` plus one stack of normals.  A
-    replication's results depend on its own stream alone, never on the
-    group, stack or block it landed in.
+    Module-level so it can cross a process boundary.  The payload is one
+    generation stack (:func:`run_experiment` sizes it by :func:`stack_size`):
+    its normals are drawn once, read-only, and every cell is generated and
+    evaluated from them in turn, its stack released before the next cell's
+    is generated.  A replication's results depend on its own stream alone,
+    never on the group, payload or block it landed in.
     """
     dgp_cfgs, stat_items, master_seed, rep_lo, rep_hi, paths_upto = payload
     specs = [dgp.spec_from_config(cfg) for cfg in dgp_cfgs]
-    shape = dgp.draw_shape(specs[0])
-    stack_step = min(stack_size(spec.T, spec.design_dim) for spec in specs)
-    results = []
-    for _ in specs:
-        sups = {kind: np.full(rep_hi - rep_lo, np.nan) for kind, _ in stat_items}
-        results.append((sups, [], dict.fromkeys((*sups, RANK_DEFICIENT), 0)))
-    for stack_lo in range(rep_lo, rep_hi, stack_step):
-        reps = range(stack_lo, min(stack_lo + stack_step, rep_hi))
-        z = replication_stream(master_seed, reps).normal_rows(shape)
-        z.flags.writeable = False  # shared by every cell of the group
-        for spec, result in zip(specs, results):
-            _evaluate_stack(dgp.generate(spec, z), stack_lo, rep_lo, stat_items, paths_upto, result)
-    return results
+    z = replication_stream(master_seed, range(rep_lo, rep_hi)).normal_rows(dgp.draw_shape(specs[0]))
+    z.flags.writeable = False  # shared by every cell of the group
+    return [_evaluate_stack(dgp.generate(spec, z), rep_lo, stat_items, paths_upto) for spec in specs]
 
 
 def _run_chunk(payload):
-    """Compute sup statistics for replications [rep_lo, rep_hi) of one cell:
-    the one-cell case of :func:`_run_cells`.
+    """Compute sup statistics for replications [rep_lo, rep_hi) of one cell,
+    generated as one stack: the one-cell case of :func:`_run_cells`.
 
     Returns ``(rep_lo, sups, paths, skipped)``: NaN where a replication
     failed for that statistic, the sampled paths, and per statistic the
@@ -388,7 +384,7 @@ def run_experiment(spec, workers=1, paths_sample=0):
     ----------
     spec : ExperimentSpec
     workers : int
-        Process count for replication chunks; results are identical for any
+        Process count for the payloads; results are identical for any
         value.
     paths_sample : int
         Dump the raw statistic paths of the first ``paths_sample``
@@ -403,23 +399,24 @@ def run_experiment(spec, workers=1, paths_sample=0):
     groups = {}  # draw shape -> grid indices of the cells drawing it
     for cell, dspec in enumerate(spec.dgp_grid):
         groups.setdefault(dgp.draw_shape(dspec), []).append(cell)
-    n_chunks = max(-(-spec.n_reps // CHUNK_SIZE), min(-(-workers // len(groups)), spec.n_reps))
-    cuts = [spec.n_reps * i // n_chunks for i in range(n_chunks + 1)]
-    chunk_ranges = list(zip(cuts, cuts[1:]))
-    payloads = [
-        ([dgp.spec_to_config(spec.dgp_grid[cell]) for cell in cells], stat_items, spec.master_seed,
-         lo, hi, paths_sample)
-        for cells in groups.values()
-        for lo, hi in chunk_ranges
-    ]
-    chunks = [[] for _ in spec.dgp_grid]  # per cell, its chunks' results in replication order
+    payloads, served = [], []  # each payload, and the grid indices of the cells it serves
+    for cells in groups.values():
+        dspecs = [spec.dgp_grid[cell] for cell in cells]
+        step = min(CHUNK_SIZE, *(stack_size(d.T, d.design_dim) for d in dspecs))
+        n_chunks = max(-(-spec.n_reps // step), min(-(-workers // len(groups)), spec.n_reps))
+        cuts = [spec.n_reps * i // n_chunks for i in range(n_chunks + 1)]
+        cfgs = [dgp.spec_to_config(d) for d in dspecs]
+        for lo, hi in zip(cuts, cuts[1:]):
+            payloads.append((cfgs, stat_items, spec.master_seed, lo, hi, paths_sample))
+            served.append(cells)
+    chunks = [[] for _ in spec.dgp_grid]  # per cell, its payloads' results in replication order
     if workers > 1:  # importing the pool loads multiprocessing, which a serial run never needs
         from concurrent.futures import ProcessPoolExecutor
     executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        # one map over every group's chunks: no worker waits at a cell boundary
+        # one map over every group's payloads: no worker waits at a cell boundary
         results = (map if executor is None else executor.map)(_run_cells, payloads)
-        for cells, cell_results in zip((cells for cells in groups.values() for _ in chunk_ranges), results):
+        for cells, cell_results in zip(served, results):
             for cell, result in zip(cells, cell_results):
                 chunks[cell].append(result)
     finally:

@@ -5,9 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from breaklab.break_tests import cusum_path
-from breaklab.dgp import DgpSpec, Sample
+from breaklab.dgp import DgpSpec, Sample, spec_from_config
 from breaklab.errors import BreakIndexError, DegenerateSampleError, SingularDesignError
 from breaklab.estimators import (
+    OlsFit,
     fit_xy,
     ols_fit,
     partial_sum_covariance,
@@ -180,6 +181,18 @@ def test_partial_sums_zero_for_perfect_fit():
 def test_partial_sum_covariance_oracle():
     fit = ols_fit(_intercept_sample([0.0, 0.0, 2.0, 2.0]))
     assert_allclose(partial_sum_covariance(fit), [[0.375]], rtol=0, atol=0)
+
+
+def test_partial_sum_helpers_take_a_stacked_fit():
+    # the replication axis comes first; each row equals the one-sample call
+    spec = spec_from_config({"family": "linear_regression", "T": 40, "beta_pre": [1.0, 0.5]})
+    fit = ols_fit(generate(spec, replication_stream(9, range(7))))
+    sums, cov = residual_partial_sums(fit), partial_sum_covariance(fit)
+    assert sums.shape == (7, 40, 2) and cov.shape == (7, 2, 2)
+    for r in range(7):
+        row = OlsFit(fit.beta_hat[r], fit.residuals[r], fit.sigma_hat_sq[r], fit.design[r])
+        assert np.array_equal(sums[r], residual_partial_sums(row))
+        assert_allclose(cov[r], partial_sum_covariance(row), rtol=1e-12, atol=0)
 
 
 def test_partial_sum_covariance_psd_and_symmetric():

@@ -121,6 +121,24 @@ def test_a_cell_with_no_candidate_split_is_refused_before_any_draw(tmp_path, cap
     assert calls == [] and not out.exists()
 
 
+def test_an_infeasible_cell_is_named_by_grid_index_family_and_statistic(tmp_path, capfd):
+    from breaklab.cli import main
+
+    cell = {"family": "linear_regression", "T": 5, "beta_pre": [1.0, 0.5, 0.2]}
+    want = (
+        "dgp_grid[1] (linear_regression, T=5) with cusum: "
+        "trimming nu=0.0 leaves no candidate break indices for T=5, p=3"
+    )
+    with pytest.raises(SpecError) as info:
+        _small_spec(dgp_grid=(_location_null(), spec_from_config(cell)))
+    assert str(info.value) == want
+    cfg = experiment_to_config(_small_spec(stat_kinds=("cusum", "wald")))
+    cfg["dgp_grid"].append(cell)
+    (tmp_path / "spec.json").write_text(json.dumps(cfg))
+    assert main(["experiment", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "out.csv")]) == 2
+    assert want in capfd.readouterr().err
+
+
 def test_per_stat_default_trimming():
     spec = _small_spec(stat_kinds=("cusum", "wald"))
     assert spec.nu_for("cusum") == 0.0
@@ -284,6 +302,51 @@ def test_a_lone_chunk_is_cut_for_every_worker(tmp_path, monkeypatch):
         report_to_csv(report, tmp_path / "r.csv")
         paths_to_csv(report, tmp_path / "p.csv")
         files[workers] = (tmp_path / "r.csv").read_bytes(), (tmp_path / "p.csv").read_bytes()
+    assert files[1] == files[2] == files[3]
+
+
+def test_a_payload_is_one_stack(tmp_path, monkeypatch):
+    # a T=500 predictive_lur replication stacks within STACK_BYTES 174 at a
+    # time, fewer than CHUNK_SIZE; a T=100 location replication 1310
+    import concurrent.futures
+
+    from breaklab import experiments
+
+    ranges = []
+    run_cells = experiments._run_cells
+
+    def recording(payload):
+        ranges.append((payload[0][0]["family"], *payload[3:5]))
+        return run_cells(payload)
+
+    class InlinePool:  # runs every payload in-process
+        def __init__(self, max_workers):
+            pass
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(experiments, "_run_cells", recording)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    lur = spec_from_config({"family": "predictive_lur", "T": 500, "c": -5.0, "sigma_eps_u": -0.5})
+    spec = _small_spec(dgp_grid=(lur, _location_null(T=100)), n_reps=400)
+    files = {}
+    for workers in (1, 2, 3):
+        ranges.clear()
+        report = run_experiment(spec, workers=workers, paths_sample=3)
+        for dspec in spec.dgp_grid:
+            step = min(experiments.CHUNK_SIZE, experiments.stack_size(dspec.T, dspec.design_dim))
+            got = [(lo, hi) for family, lo, hi in ranges if family == dspec.family]
+            sizes = [hi - lo for lo, hi in got]
+            assert [lo for lo, _ in got] == [0] + [hi for _, hi in got[:-1]] and got[-1][1] == 400
+            assert len(got) == -(-400 // step) and max(sizes) <= step and max(sizes) - min(sizes) <= 1
+        report_to_csv(report, tmp_path / "r.csv")
+        paths_to_csv(report, tmp_path / "p.csv")
+        files[workers] = (tmp_path / "r.csv").read_bytes(), (tmp_path / "p.csv").read_bytes()
+    assert experiments.stack_size(500, 2) == 174
     assert files[1] == files[2] == files[3]
 
 
