@@ -100,11 +100,12 @@ def _sup_over_path(path, sided):
     if sided == TWO_SIDED_ABS:
         score = np.abs(path)
     elif sided == SIGNED:
-        score = path
+        score = path.copy()
     else:
         raise SpecError(f"unknown sidedness {sided!r}")
     missing = np.isnan(score)
-    best = np.argmax(np.where(missing, -np.inf, score), axis=-1)
+    score[missing] = -np.inf
+    best = np.argmax(score, axis=-1)
     sup = np.take_along_axis(score, np.expand_dims(best, -1), axis=-1)[..., 0]
     return np.where(missing.all(axis=-1), np.nan, sup), best
 
@@ -119,7 +120,9 @@ def _scan_setup(kind, fit, nu):
 
 
 def _finish(kind, ks, path, nu, design_dim, sided, valid, skipped=()):
-    path = np.where(np.expand_dims(valid, -1), path, np.nan)
+    """Outcome of ``path`` (which it owns) with the rows that are not
+    ``valid`` masked out."""
+    np.copyto(path, np.nan, where=~np.expand_dims(valid, -1))
     sup, best = _sup_over_path(path, sided)
     argmax_k = np.where(np.isnan(sup), -1, ks[best])
     if np.ndim(sup) == 0:  # one sample: plain values, or no outcome at all
@@ -136,19 +139,20 @@ def _finish(kind, ks, path, nu, design_dim, sided, valid, skipped=()):
 # Every statistic is a functional of the pooled fit: the CUSUMs of its
 # residuals, Wald and zmean of its residual partial sums and the cumulative
 # Gram matrix.  The fit may be of one sample or of stacked samples (see
-# ``estimators.fit_xy``); the engine evaluates whole blocks through the
-# same functions.
+# ``estimators.fit_xy``); the engine evaluates each cell's whole stack
+# through the same functions.
 # ---------------------------------------------------------------------------
 
 def _cusum_outcome(kind, fit, nu, sided, values, spread):
     """Bridge-centered partial sums of ``values`` scaled by sqrt(spread * T)."""
     valid, nu, (k_lo, k_hi) = _scan_setup(kind, fit, nu)
     ks = np.arange(k_lo, k_hi + 1)
-    centered = kernels.bridge_in_place(np.cumsum(values, axis=-1))[..., k_lo - 1 : k_hi]
+    path = kernels.bridge_in_place(np.cumsum(values, axis=-1))[..., k_lo - 1 : k_hi]
     scale = np.expand_dims(np.sqrt(spread) * math.sqrt(fit.n_obs), -1)
-    # zero spread: an exactly centered path (constant squared residuals), no evidence
     with np.errstate(divide="ignore", invalid="ignore"):
-        path = np.where(scale == 0.0, 0.0, centered / scale)
+        path /= scale
+    # zero spread: an exactly centered path (constant squared residuals), no evidence
+    np.copyto(path, 0.0, where=scale == 0.0)
     return _finish(kind, ks, path, nu, fit.p, sided, valid)
 
 
@@ -267,7 +271,7 @@ def evaluate_block(kind, fit, nu):
 class StatRecipe:
     """How the engine computes one statistic kind and how it is tested.
 
-    ``compute(stack, fit, nu)`` evaluates a block of replications, a
+    ``compute(stack, fit, nu)`` evaluates a stack of replications, a
     :class:`~breaklab.dgp.SampleStack` with its pooled ``fit``, and returns
     the stacked outcome: ``sup_value`` per replication (NaN where it
     failed), ``path`` rows over one shared ``ks`` and ``skipped`` (the
@@ -284,16 +288,16 @@ class StatRecipe:
 
 
 def _on_fit(kind, stack, fit, nu):
-    """Block compute of a built-in statistic: one evaluation on the stacked pooled fits."""
+    """Stack compute of a built-in statistic: one evaluation on the stacked pooled fits."""
     return evaluate_block(kind, fit, nu)
 
 
 def _per_sample(kind, compute):
-    """Block form of ``compute(sample, nu, cache)`` (see :func:`register_statistic`):
+    """Stack form of ``compute(sample, nu, cache)`` (see :func:`register_statistic`):
     the replications' outcomes stacked, with no ``argmax_k``; ``ks`` and
     ``path`` stay None when every replication fails."""
 
-    def block_compute(stack, fit, nu):
+    def stack_compute(stack, fit, nu):
         sups = np.full(len(stack), np.nan)
         ks = path = None
         for i in range(len(stack)):
@@ -307,7 +311,7 @@ def _per_sample(kind, compute):
             sups[i], path[i] = outcome.sup_value, outcome.path
         return TestOutcome(kind, ks, path, sups, None, nu, 1, SIGNED, np.zeros(len(stack), int))
 
-    return block_compute
+    return stack_compute
 
 
 #: statistic kind -> recipe: the CUSUMs converge to sup |Brownian bridge| over the

@@ -25,6 +25,13 @@ from .schema import SCHEMA_VERSION, jsonable
 log = logging.getLogger("breaklab")
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to the ``sys.stderr`` of that moment, never to a
+    stream an in-process caller has since swapped or closed."""
+
+    stream = property(lambda self: sys.stderr, lambda self, stream: None)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage errors exit 1 instead of 2."""
 
@@ -321,7 +328,7 @@ def dispatch(argv):
     elif args.verbose >= 1:
         level = logging.DEBUG
     logging.basicConfig(
-        stream=sys.stderr,
+        handlers=[_StderrHandler()],
         level=level,
         format="%(levelname)s %(name)s: %(message)s",
         force=True,

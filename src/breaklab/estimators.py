@@ -98,9 +98,10 @@ def fit_xy(X, y, sample_ref=""):
         raise SingularDesignError(int(bad))
     beta = ldl_solve(lower, diag, (Xt @ y[..., None])[..., 0].T).T
     fitted = (X @ beta[..., None])[..., 0]
-    residuals = y - fitted
+    fitted_sq = np.mean(fitted**2, axis=-1)
+    residuals = np.subtract(y, fitted, out=fitted)
     sigma_hat_sq = (residuals[..., None, :] @ residuals[..., :, None])[..., 0, 0] / T
-    degenerate = (sigma_hat_sq <= 0.0) | (sigma_hat_sq <= 1e-20 * np.mean(fitted**2, axis=-1))
+    degenerate = (sigma_hat_sq <= 0.0) | (sigma_hat_sq <= 1e-20 * fitted_sq)
     return OlsFit(
         beta_hat=beta,
         residuals=residuals,

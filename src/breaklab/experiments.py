@@ -11,8 +11,8 @@ enough to keep every worker busy, and one payload is one stack of one group;
 all payloads go through one map, over a process pool when ``workers > 1``,
 so no worker waits at a cell boundary.  Results are then aggregated, logged
 and reported per cell in grid order.  A payload's replications are generated
-together and evaluated in smaller blocks: each replication gets one pooled
-fit, and each statistic is evaluated once per block on the stacked fits.
+together and evaluated together: each cell's stack gets one pooled fit, and
+each statistic is evaluated once on the stacked fits.
 """
 
 import logging
@@ -224,19 +224,9 @@ def resolve_tables(spec):
 #: (every statistic fails on them), kept next to the skipped-split counts
 RANK_DEFICIENT = "pooled designs rank deficient"
 
-#: working-set budget of one block's per-split arrays (cumulative Gram,
-#: regime factors and partial sums of every stacked replication)
-BLOCK_BYTES = 1 << 20
-
 #: budget of one generation stack, which is one payload: the normals, paths,
 #: y and X of every replication generated at once
 STACK_BYTES = 1 << 23
-
-
-def block_size(T, p):
-    """Replications per block: as many as keep the per-split arrays of a
-    T-row, p-column design within :data:`BLOCK_BYTES`."""
-    return max(1, BLOCK_BYTES // (8 * T * (4 * p * p + 4 * p)))
 
 
 def stack_size(T, p):
@@ -247,34 +237,29 @@ def stack_size(T, p):
 
 
 def _evaluate_stack(stack, rep_lo, stat_items, paths_upto):
-    """Evaluate one cell's generated replications ``rep_lo ..`` in blocks of
-    :func:`block_size`; returns ``(sups, paths, skipped)`` as
-    :func:`_run_chunk` describes.
+    """Evaluate one cell's generated replications ``rep_lo ..``; returns
+    ``(sups, paths, skipped)`` as :func:`_run_chunk` describes.
 
-    Each block gets one pooled fit, and each statistic returns its stacked
-    outcome on it; a path is kept for a sampled replication whose sup is
-    defined.  The spec has already refused a cell with no candidate split.
+    The stack gets one pooled fit, and each statistic returns its stacked
+    outcome on it once.  An outcome is dropped as soon as its sups, skipped
+    counts and sampled paths are read: a path is kept for a sampled
+    replication whose sup is defined.  The spec has already refused a cell
+    with no candidate split.
     """
-    sups = {kind: np.full(len(stack), np.nan) for kind, _ in stat_items}
-    paths, skipped = [], dict.fromkeys((*sups, RANK_DEFICIENT), 0)
-    step = block_size(stack.truth.T, stack.truth.design_dim)
-    for i in range(0, len(stack), step):
-        block = stack.rows(i, i + step)
-        # a rank-deficient row holds no estimate and may overflow; it is discarded
-        with np.errstate(over="ignore", invalid="ignore"):
-            fit = ols_fit(block)
-        skipped[RANK_DEFICIENT] += int(np.count_nonzero(~fit.full_rank))
-        lo = rep_lo + i
-        outs = {}
-        for kind, nu in stat_items:
-            outs[kind] = out = STAT_RECIPES[kind].compute(block, fit, nu)
-            sups[kind][i : i + len(block)] = out.sup_value
-            skipped[kind] += int(np.sum(out.skipped))
-        for j in range(min(len(block), paths_upto - lo)):
-            for kind, _ in stat_items:
-                out = outs[kind]
-                if not np.isnan(out.sup_value[j]):
-                    paths.append((lo + j, kind, out.ks, out.path[j].copy()))
+    # a rank-deficient row holds no estimate and may overflow; it is discarded
+    with np.errstate(over="ignore", invalid="ignore"):
+        fit = ols_fit(stack)
+    n_sampled = max(0, min(len(stack), paths_upto - rep_lo))
+    sups, skipped, paths = {}, {}, []
+    for kind, nu in stat_items:
+        out = STAT_RECIPES[kind].compute(stack, fit, nu)
+        sups[kind] = out.sup_value
+        skipped[kind] = int(np.sum(out.skipped))
+        paths += [(rep_lo + j, kind, out.ks, out.path[j].copy())
+                  for j in range(n_sampled) if not np.isnan(out.sup_value[j])]
+        del out
+    skipped[RANK_DEFICIENT] = int(np.count_nonzero(~fit.full_rank))
+    paths.sort(key=lambda entry: entry[0])  # by replication; stable, so kinds keep their order
     return sups, paths, skipped
 
 
@@ -288,7 +273,7 @@ def _run_cells(payload):
     its normals are drawn once, read-only, and every cell is generated and
     evaluated from them in turn, its stack released before the next cell's
     is generated.  A replication's results depend on its own stream alone,
-    never on the group, payload or block it landed in.
+    never on the group or payload it landed in.
     """
     dgp_cfgs, stat_items, master_seed, rep_lo, rep_hi, paths_upto = payload
     specs = [dgp.spec_from_config(cfg) for cfg in dgp_cfgs]

@@ -133,6 +133,12 @@ def _regime_quadratic(gram, floor, sums):
 #     W(k) = S_k' (G1^-1 + G2^-1) S_k / sigma2,
 # one forward substitution per regime and no regime estimates.
 
+#: working-set budget of one tile of :func:`wald_scan`'s stacked samples,
+#: counted per sample as one running sum over T and (p + 2)^2 arrays over the
+#: scanned splits: the regime Grams, partial sums and regime factors
+WALD_TILE_BYTES = 1 << 20
+
+
 def wald_scan(X, y, k_lo, k_hi, sigma2):
     """Wald statistic at every candidate split k in [k_lo, k_hi].
 
@@ -144,30 +150,53 @@ def wald_scan(X, y, k_lo, k_hi, sigma2):
     shape (k_hi - k_lo + 1,) or (R, k_hi - k_lo + 1): the statistic, NaN
     where a regime Gram matrix (or the full one) was singular at
     ``GRAM_PIVOT_RTOL``, and flags of the computable entries.  Values match
-    independent per-k refits to 1e-10 relative.
+    independent per-k refits to 1e-10 relative.  One sample is a stack of
+    one; a stack is scanned in tiles of rows within :data:`WALD_TILE_BYTES`.
     """
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    p = X.shape[-1]
+    T, p = X.shape[-2:]
+    shape = (*X.shape[:-2], k_hi - k_lo + 1)
+    X, y = X.reshape(-1, T, p), np.asarray(y, dtype=np.float64).reshape(-1, T)
+    sigma2 = np.broadcast_to(sigma2, X.shape[:1])
+    values, ok = np.empty((len(X), shape[-1])), np.empty((len(X), shape[-1]), dtype=bool)
+    rows = max(1, WALD_TILE_BYTES // (8 * (T + (p + 2) ** 2 * shape[-1])))
+    for lo in range(0, len(X), rows):
+        tile = slice(lo, lo + rows)
+        _scan_tile(X[tile], y[tile], k_lo, k_hi, sigma2[tile], values[tile], ok[tile])
+    return values.reshape(shape), ok.reshape(shape)
 
-    cols = np.ascontiguousarray(np.moveaxis(X, -1, 0))  # (p, ..., T)
-    gram_cum = np.cumsum(cols[:, None] * cols[None, :], axis=-1)
-    xy_cum = np.cumsum(cols * y, axis=-1)
-    gram = gram_cum[..., -1]
+
+def _scan_tile(X, y, k_lo, k_hi, sigma2, values, ok):
+    """:func:`wald_scan` of one tile's stacked samples into its rows of
+    ``(values, ok)``.  Gram stacks hold only the lower triangle :func:`ldl`
+    reads, and running sums only their values at the splits and at T."""
+    p = X.shape[-1]
+    lower = [(i, j) for i in range(p) for j in range(i + 1)]
+    run = np.empty(y.shape)
+
+    def running(a, b, split, total):
+        # cumulative sums of a * b: their values at the splits, and at T
+        np.cumsum(np.multiply(a, b, out=run), axis=-1, out=run)
+        split[...], total[...] = run[:, k_lo - 1 : k_hi], run[:, -1]
+
+    g1, gram = np.empty((p, p, *values.shape)), np.empty((p, p, len(y)))
+    sums, xy = np.empty((p, *values.shape)), np.empty((p, len(y)))
+    for i, j in lower:
+        running(X[..., i], X[..., j], g1[i, j], gram[i, j])
+    for i in range(p):
+        running(X[..., i], y, sums[i], xy[i])
     floor = GRAM_PIVOT_RTOL * np.max(np.diagonal(gram), axis=-1)
     l_full, d_full, bad_full = ldl(gram, floor)
-    beta = ldl_solve(l_full, d_full, xy_cum[..., -1])[..., None]
-
-    g1 = gram_cum[..., k_lo - 1 : k_hi]
-    sums = xy_cum[..., k_lo - 1 : k_hi].copy()
+    beta = ldl_solve(l_full, d_full, xy)[..., None]
     for j in range(p):
-        sums -= g1[:, j] * beta[j]
-    del cols, xy_cum  # the regime factorizations below set the peak; free these first
-    floor = np.expand_dims(floor, -1)
-    quad1, ok1 = _regime_quadratic(g1, floor, sums)
-    quad2, ok2 = _regime_quadratic(gram[..., None] - g1, floor, sums)
-    ok = ok1 & ok2 & np.expand_dims(bad_full == p, -1)
-    return np.where(ok, (quad1 + quad2) / np.expand_dims(sigma2, -1), np.nan), ok
+        for i in range(p):
+            sums[i] -= g1[max(i, j), min(i, j)] * beta[j]
+    quad1, ok1 = _regime_quadratic(g1, floor[:, None], sums)
+    for i, j in lower:  # regime 2's Gram, in place of regime 1's
+        np.subtract(gram[i, j][:, None], g1[i, j], out=g1[i, j])
+    quad2, ok2 = _regime_quadratic(g1, floor[:, None], sums)
+    ok[...] = ok1 & ok2 & (bad_full == p)[:, None]
+    values[...] = np.where(ok, (quad1 + quad2) / sigma2[:, None], np.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Command-line interface: round trips, exit codes, output schemas."""
 
+import io
 import json
+import logging
+import sys
 
 import numpy as np
 import pytest
@@ -377,3 +380,18 @@ def test_bad_functional_or_table_exits_2_before_any_draw(tmp_path, capfd, monkey
     err = capfd.readouterr().err
     assert named in err and "Traceback" not in err
     assert drawn == []
+
+
+def test_log_lines_after_main_go_to_the_current_stderr(tmp_path, capfd, monkeypatch):
+    # an in-process caller may close the stream main logged to once main returns,
+    # as pytest's capture does at the end of a test; later engine lines must not
+    # reach that closed stream
+    first = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", first)
+    assert main(["simulate", "--family", "location", "--T", "20", "--out", str(tmp_path / "d.csv")]) == 0
+    first.close()
+    monkeypatch.undo()
+    logging.getLogger("breaklab.experiments").info("a later engine line")
+    err = capfd.readouterr().err
+    assert "Logging error" not in err
+    assert "a later engine line" in err

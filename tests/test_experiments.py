@@ -350,6 +350,33 @@ def test_a_payload_is_one_stack(tmp_path, monkeypatch):
     assert files[1] == files[2] == files[3]
 
 
+def test_each_cell_of_a_payload_is_fitted_once(monkeypatch):
+    # location at T=200 and linear_regression at T=100, p=2 share one payload
+    # of 200 replications; a T=500 predictive_lur payload holds at most 174
+    from breaklab import experiments
+
+    fitted, served = [], []
+    run_cells = experiments._run_cells
+
+    def recording(payload):
+        served.extend([payload[4] - payload[3]] * len(payload[0]))
+        return run_cells(payload)
+
+    def counting(stack):
+        fitted.append(len(stack))
+        return ols_fit(stack)
+
+    monkeypatch.setattr(experiments, "_run_cells", recording)
+    monkeypatch.setattr(experiments, "ols_fit", counting)
+    grid = (
+        _location_null(T=200),
+        spec_from_config({"family": "linear_regression", "T": 100, "beta_pre": [1.0, 0.5]}),
+        spec_from_config({"family": "predictive_lur", "T": 500, "c": -5.0}),
+    )
+    run_experiment(_small_spec(dgp_grid=grid, stat_kinds=("cusum", "wald"), n_reps=400))
+    assert sorted(fitted) == sorted(served) == [133, 133, 134, 200, 200, 200, 200]
+
+
 # ---------------------------------------------------------------------------
 # harness self-tests with stub statistics
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from breaklab import break_tests, experiments
+from breaklab import break_tests, experiments, kernels
 from breaklab.dgp import Sample, draw_shape, generate, spec_from_config, spec_to_config
 from breaklab.errors import BreakLabError
 from breaklab.estimators import fit_xy, ols_fit
@@ -257,6 +257,38 @@ def test_wald_identity_matches_per_k_refits(p, T, seed, scale):
         np.testing.assert_allclose(vals, want, rtol=1e-9)
     stacked, _ = wald_scan(np.stack([X, X]), np.stack([y, fit.residuals]), k_lo, k_hi, fit.sigma_hat_sq)
     np.testing.assert_allclose(stacked, np.stack([want, want]), rtol=1e-9)
+
+
+@PROPERTY
+@given(
+    p=st.sampled_from([1, 2, 3]),
+    T=st.integers(12, 90),
+    R=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+    tile_rows=st.sampled_from([1, 3, None]),
+)
+def test_tiled_wald_scan_equals_single_sample_scans_bit_for_bit(p, T, R, seed, tile_rows):
+    # tiles of 1 row, of an odd 3 rows (cut mid-stack unless R <= 3) and of the
+    # whole stack, with the budget counted per sample as WALD_TILE_BYTES describes
+    rng = np.random.default_rng(seed)
+    X = np.concatenate([np.ones((R, T, 1)), rng.standard_normal((R, T, p - 1))], axis=-1)
+    if p > 1:  # a step regressor: every split before T/2 has a singular regime
+        X[0, :, -1] = np.arange(T) >= T // 2
+    y = rng.standard_normal((R, T))
+    sigma2 = rng.uniform(0.5, 2.0, R)
+    k_lo, k_hi = break_tests.scan_range(T, p, 0.1)
+    per_sample = 8 * (T + (p + 2) ** 2 * (k_hi - k_lo + 1))
+    singles = [wald_scan(X[r], y[r], k_lo, k_hi, sigma2[r]) for r in range(R)]
+    with mock.patch.object(kernels, "WALD_TILE_BYTES", (tile_rows or R) * per_sample):
+        tiles = []
+        scan_tile = kernels._scan_tile
+        with mock.patch.object(kernels, "_scan_tile", lambda X, *a: tiles.append(len(X)) or scan_tile(X, *a)):
+            vals, ok = wald_scan(X, y, k_lo, k_hi, sigma2)
+    assert tiles == [min(tile_rows or R, R - lo) for lo in range(0, R, tile_rows or R)]
+    assert vals.tobytes() == np.stack([v for v, _ in singles]).tobytes()
+    assert ok.tobytes() == np.stack([o for _, o in singles]).tobytes()
+    if p > 1:
+        assert not ok[0].all()
 
 
 def _default_paths(X, y):
