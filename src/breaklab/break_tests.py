@@ -9,7 +9,6 @@ scanned, never the value at a given k.
 import logging
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -196,13 +195,6 @@ def _is_intercept_only(X):
     return X.shape[-1] == 1 and np.all(X == 1.0, axis=(-2, -1))
 
 
-def _require_intercept_only(X):
-    if not _is_intercept_only(X):
-        raise SpecError(
-            "statistic requires the intercept-only model (design must be a single all-ones column)"
-        )
-
-
 def _wald_outcome(kind, fit, nu, on_singular=ON_SINGULAR_SKIP):
     """Wald (or, on the intercept-only design, zmean) outcome of a pooled fit."""
     valid, nu, (k_lo, k_hi) = _scan_setup(kind, fit, nu)
@@ -232,7 +224,8 @@ def z_mean_path(sample, nu=None):
     Defined for the intercept-only model, where it is the Wald statistic of
     the mean; the path is nonnegative so the supremum is one-sided.
     """
-    _require_intercept_only(sample.X)
+    if not _is_intercept_only(sample.X):
+        raise SpecError("statistic requires the intercept-only model (design must be a single all-ones column)")
     return _wald_outcome("zmean", ols_fit(sample), nu)
 
 
@@ -249,20 +242,6 @@ def wald_path(sample, nu=None, on_singular=ON_SINGULAR_SKIP):
     return _wald_outcome("wald", ols_fit(sample), nu, on_singular)
 
 
-def evaluate_block(kind, fit, nu):
-    """Statistic ``kind`` at its default settings on a fit of stacked
-    samples; returns a stacked :class:`TestOutcome`.  Replications whose
-    values are discarded may overflow on the way, so those warnings are off."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if kind == "cusum":
-            return cusum_path(fit, nu)
-        if kind == "cusumsq":
-            return cusum_sq_path(fit, nu)
-        if kind in ("zmean", "wald"):
-            return _wald_outcome(kind, fit, nu)
-    raise SpecError(f"unknown statistic kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # statistic registry
 # ---------------------------------------------------------------------------
@@ -275,21 +254,18 @@ class StatRecipe:
     :class:`~breaklab.dgp.SampleStack` with its pooled ``fit``, and returns
     the stacked outcome: ``sup_value`` per replication (NaN where it
     failed), ``path`` rows over one shared ``ks`` and ``skipped`` (the
-    number of skipped Wald splits) per replication.  ``table_kinds`` may
-    calibrate it (the engine uses the first; none means a critical value of
-    0), at the dimension ``limit_dim(design_dim)`` and, by default, the
-    trimming ``default_nu``.
+    number of skipped Wald splits) per replication.  The built-in kinds read
+    the fit alone and call their statistic's function once on it; a
+    registered kind reads the stack (:func:`register_statistic`).
+    ``table_kinds`` may calibrate it (the engine uses the first; none means
+    a critical value of 0), at the dimension ``limit_dim(design_dim)`` and,
+    by default, the trimming ``default_nu``.
     """
 
     compute: object
     table_kinds: tuple = ()
     limit_dim: object = lambda design_dim: 1
     default_nu: float = 0.0
-
-
-def _on_fit(kind, stack, fit, nu):
-    """Stack compute of a built-in statistic: one evaluation on the stacked pooled fits."""
-    return evaluate_block(kind, fit, nu)
 
 
 def _per_sample(kind, compute):
@@ -315,13 +291,22 @@ def _per_sample(kind, compute):
 
 
 #: statistic kind -> recipe: the CUSUMs converge to sup |Brownian bridge| over the
-#: whole sample, the Wald types to the trimmed sup of a squared bridge of the design's dimension
+#: whole sample, the Wald types to the trimmed sup of a squared bridge of the design's dimension.
+#: A compute looks its function up here at each call, so a wrapper set on this module sees it
 STAT_RECIPES = {
-    "cusum": StatRecipe(partial(_on_fit, "cusum"), ("supabsbb", "supabslurcusum")),
-    "cusumsq": StatRecipe(partial(_on_fit, "cusumsq"), ("supabsbb",)),
-    "zmean": StatRecipe(partial(_on_fit, "zmean"), ("supqp",), default_nu=0.15),
-    "wald": StatRecipe(partial(_on_fit, "wald"), ("supqp",), lambda design_dim: design_dim, 0.15),
+    "cusum": StatRecipe(lambda stack, fit, nu: cusum_path(fit, nu), ("supabsbb", "supabslurcusum")),
+    "cusumsq": StatRecipe(lambda stack, fit, nu: cusum_sq_path(fit, nu), ("supabsbb",)),
+    "zmean": StatRecipe(lambda stack, fit, nu: _wald_outcome("zmean", fit, nu), ("supqp",), default_nu=0.15),
+    "wald": StatRecipe(lambda stack, fit, nu: _wald_outcome("wald", fit, nu), ("supqp",), lambda d: d, 0.15),
 }
+
+
+def evaluate_block(kind, fit, nu):
+    """Built-in statistic ``kind`` of :data:`STAT_RECIPES` at its default settings on a fit of stacked
+    samples; a stacked :class:`TestOutcome`.  Unlike the engine, it leaves floating-point warnings on."""
+    if kind not in STAT_RECIPES:
+        raise SpecError(f"unknown statistic kind {kind!r}")
+    return STAT_RECIPES[kind].compute(None, fit, nu)
 
 
 def register_statistic(kind, compute):

@@ -20,7 +20,7 @@ from . import break_tests, dgp, experiments, limit_lab
 from .errors import DataError, NumericalError, SpecError
 from .estimators import ols_fit
 from .rng import DEFAULT_MASTER_SEED, SeedSpec, derive_stream
-from .schema import SCHEMA_VERSION, jsonable
+from .schema import SCHEMA_VERSION, check_writable, jsonable, opened, read_json
 
 log = logging.getLogger("breaklab")
 
@@ -66,8 +66,10 @@ def build_parser():
     sim.add_argument("--beta-post", type=_coef_list, help="post-break coefficients, comma separated")
     sim.add_argument("--mu-pre", type=float, help="alias for a single pre-break coefficient")
     sim.add_argument("--mu-post", type=float, help="alias for a single post-break coefficient")
-    sim.add_argument("--sigma-eps", type=float, help="variance of the response innovation")
-    sim.add_argument("--sigma-u", type=float, help="variance of the regressor innovation")
+    sim.add_argument("--sigma-eps", type=float, dest="sigma_eps_sq", metavar="SIGMA_EPS",
+                     help="variance of the response innovation")
+    sim.add_argument("--sigma-u", type=float, dest="sigma_u_sq", metavar="SIGMA_U",
+                     help="variance of the regressor innovation")
     sim.add_argument("--sigma-eps-u", type=float, help="covariance of the two innovations")
     sim.add_argument("--c", type=float, help="persistence parameter; root = 1 + c/T, c <= 0 near-stationary")
     sim.add_argument("--mu", type=float, help="intercept of the predictive regression")
@@ -142,57 +144,30 @@ def build_parser():
 # handlers
 # ---------------------------------------------------------------------------
 
-def _load_json(path, what):
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except FileNotFoundError as exc:
-        raise DataError(f"{what} file does not exist: {path}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise SpecError(f"{path}: the {what} must be a JSON object, got {type(payload).__name__}")
-    return payload
-
-
 def _write_provenance(out_path, payload):
     sidecar = out_path + ".provenance.json"
-    with open(sidecar, "w") as fh:
+    with opened(sidecar, "provenance", "w") as fh:
         json.dump(jsonable(payload), fh, indent=2)
         fh.write("\n")
     log.info("wrote provenance sidecar %s", sidecar)
 
 
 def _merged_dgp_config(args):
-    cfg = dict(_load_json(args.config, "config")) if args.config else {}
-    if args.mu_pre is not None:
-        if args.beta_pre is not None:
-            raise SpecError("give either --beta-pre or --mu-pre, not both")
-        cfg["beta_pre"] = [args.mu_pre]
-    if args.mu_post is not None:
-        if args.beta_post is not None:
-            raise SpecError("give either --beta-post or --mu-post, not both")
-        cfg["beta_post"] = [args.mu_post]
-    overrides = {
-        "family": args.family,
-        "T": args.T,
-        "s": args.s,
-        "beta_pre": args.beta_pre,
-        "beta_post": args.beta_post,
-        "sigma_eps_sq": args.sigma_eps,
-        "sigma_u_sq": args.sigma_u,
-        "sigma_eps_u": args.sigma_eps_u,
-        "c": args.c,
-        "mu": args.mu,
-        "x0": args.x0,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            cfg[key] = value
+    cfg = read_json(args.config, "config") if args.config else {}
+    for regime in ("pre", "post"):  # --mu-pre/--mu-post: single-coefficient aliases
+        alias = getattr(args, f"mu_{regime}")
+        if alias is not None:
+            if getattr(args, f"beta_{regime}") is not None:
+                raise SpecError(f"give either --beta-{regime} or --mu-{regime}, not both")
+            cfg[f"beta_{regime}"] = [alias]
+    for key in dgp.CONFIG_KEYS:  # every config key has a flag of that dest
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
     return cfg
 
 
 def cmd_simulate(args):
+    check_writable(args.out, args.out + ".provenance.json")
     cfg = _merged_dgp_config(args)
     spec = dgp.spec_from_config(cfg)
     stream = derive_stream(SeedSpec(args.seed, args.stream))
@@ -224,6 +199,7 @@ def _run_statistic(args, sample):
 
 
 def cmd_test(args):
+    check_writable(args.out, args.path_out)
     sample = dgp.sample_from_csv(args.input)
     outcome = _run_statistic(args, sample)
     if args.critvals:
@@ -252,7 +228,7 @@ def cmd_test(args):
     }
     text = json.dumps(jsonable(payload), indent=2) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
+        with opened(args.out, "outcome", "w") as fh:
             fh.write(text)
         log.info("wrote outcome to %s", args.out)
     else:
@@ -262,13 +238,14 @@ def cmd_test(args):
         lines.extend(
             f"{int(k)},{format(float(v), '.17g')}" for k, v in zip(outcome.ks, outcome.path)
         )
-        with open(args.path_out, "w") as fh:
+        with opened(args.path_out, "path", "w") as fh:
             fh.write("\n".join(lines) + "\n")
         log.info("wrote statistic path to %s", args.path_out)
     return 0
 
 
 def cmd_critvals(args):
+    check_writable(args.out)
     nu = args.nu
     if nu is None:
         recipes = break_tests.STAT_RECIPES.values()
@@ -290,21 +267,18 @@ def cmd_critvals(args):
 
 
 def cmd_experiment(args):
-    cfg = _load_json(args.spec, "experiment spec")
-    if args.seed is not None:
-        cfg["master_seed"] = args.seed
-    if args.n_reps is not None:
-        cfg["n_reps"] = args.n_reps
-    if args.level is not None:
-        cfg["level"] = args.level
-    if args.nu is not None:
-        cfg["nu"] = args.nu
+    paths_file = args.out + ".paths.csv" if args.paths_sample > 0 else None
+    check_writable(args.out, args.out + ".provenance.json", paths_file)
+    cfg = read_json(args.spec, "experiment spec")
+    overrides = {"master_seed": args.seed, "n_reps": args.n_reps, "level": args.level, "nu": args.nu}
+    for key, value in overrides.items():
+        if value is not None:
+            cfg[key] = value
     spec = experiments.experiment_from_config(cfg)
     report = experiments.run_experiment(spec, workers=args.workers, paths_sample=args.paths_sample)
     experiments.report_to_csv(report, args.out)
     _write_provenance(args.out, report.provenance)
-    if args.paths_sample > 0:
-        paths_file = args.out + ".paths.csv"
+    if paths_file is not None:
         experiments.paths_to_csv(report, paths_file)
         log.info("wrote sampled paths to %s", paths_file)
     log.info("wrote %d report rows to %s", len(report.rows), args.out)

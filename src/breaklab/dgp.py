@@ -22,7 +22,6 @@ appears (configs, CLI flags, reports).
 
 import io
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,11 +29,12 @@ import numpy as np
 from . import kernels
 from .errors import DataError, SpecError
 from .rng import InnovCov, StreamStack, gaussian_pairs
-from .schema import typed
+from .schema import finite, opened, typed
 
 FAMILIES = ("location", "linear_regression", "cointegration", "predictive_lur", "ar1")
 
-_CONFIG_KEYS = (
+#: the keys of a flat DGP config, in the order :func:`spec_to_config` writes them
+CONFIG_KEYS = (
     "family",
     "T",
     "s",
@@ -85,6 +85,9 @@ class DgpSpec:
             raise SpecError(f"break fraction s must lie in [0, 1], got {self.s}")
         object.__setattr__(self, "params_pre", tuple(float(v) for v in self.params_pre))
         object.__setattr__(self, "params_post", tuple(float(v) for v in self.params_post))
+        for name, value in (("persistence c", self.persistence_c), ("intercept mu", self.intercept),
+                            ("x0", self.x0), ("params_pre", self.params_pre), ("params_post", self.params_post)):
+            finite(value, name, SpecError)
         if len(self.params_pre) != len(self.params_post) or len(self.params_pre) < 1:
             raise SpecError(
                 "params_pre and params_post must have equal positive length, got "
@@ -163,11 +166,6 @@ def _regime_coefs(spec):
     coefs[:k] = spec.params_pre
     coefs[k:] = spec.params_post
     return coefs
-
-
-def _require_family(spec, family):
-    if spec.family != family:
-        raise SpecError(f"generator for family {family!r} got spec with family {spec.family!r}")
 
 
 @dataclass
@@ -260,20 +258,13 @@ def _predictive_lur(spec, z):
 def _ar1(spec, z):
     """Autoregression on its own lag: y_t = rho_t y_{t-1} + u_t.
 
-    The regime coefficients are the autoregressive roots; configs may supply
-    the root through ``c`` (rho = 1 + c/T) instead of explicit coefficients.
+    The regime coefficients are the autoregressive roots, so the path is one
+    recursion with the root of each step's regime; configs may supply the
+    root through ``c`` (rho = 1 + c/T) instead of explicit coefficients.
     """
     T = spec.T
     u = math.sqrt(spec.cov.sigma_u_sq) * z
-    k = spec.break_index
-    rho_pre = spec.params_pre[0]
-    rho_post = spec.params_post[0]
-    if 0 < k < T:
-        seg1 = kernels.ar1_path(u[:, :k], rho_pre, spec.x0)
-        seg2 = kernels.ar1_path(u[:, k:], rho_post, seg1[:, -1])
-        y = np.concatenate([seg1, seg2], axis=1)
-    else:
-        y = kernels.ar1_path(u, rho_pre if k == T else rho_post, spec.x0)
+    y = kernels.ar1_path(u, _regime_coefs(spec)[:, 0], spec.x0)
     X = np.empty((z.shape[0], T, 1))
     X[:, 0, 0] = spec.x0
     X[:, 1:, 0] = y[:, :-1]
@@ -327,7 +318,8 @@ def generate(spec, stream):
 
 def _family_generator(family):
     def gen(spec, stream):
-        _require_family(spec, family)
+        if spec.family != family:
+            raise SpecError(f"generator for family {family!r} got spec with family {spec.family!r}")
         return generate(spec, stream)
 
     gen.__name__ = gen.__qualname__ = f"gen_{family}"
@@ -387,13 +379,12 @@ def spec_from_config(cfg):
     def number(key, default):
         return typed(float, cfg.get(key, default), f"config key {key!r}", SpecError)
 
-    unknown = sorted(set(cfg) - set(_CONFIG_KEYS))
+    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
     if unknown:
         raise SpecError(f"unknown config key(s): {', '.join(unknown)}")
-    if "family" not in cfg:
-        raise SpecError("config is missing required key 'family'")
-    if "T" not in cfg:
-        raise SpecError("config is missing required key 'T'")
+    for key in ("family", "T"):
+        if key not in cfg:
+            raise SpecError(f"config is missing required key {key!r}")
     family = cfg["family"]
     T = cfg["T"]
     if not isinstance(T, (int, np.integer)):
@@ -443,7 +434,7 @@ def sample_to_csv(sample, path):
         cells = [str(t + 1), format(sample.y[t], ".17g")]
         cells.extend(format(sample.X[t, j], ".17g") for j in range(p))
         buf.write(",".join(cells) + "\n")
-    with open(path, "w") as fh:
+    with opened(path, "sample", "w") as fh:
         fh.write(buf.getvalue())
 
 
@@ -453,9 +444,7 @@ def sample_from_csv(path):
     Rejects ``nan``/``inf`` in y or X with a :class:`DataError` naming the
     first such data row (1-based, header excluded).
     """
-    if not os.path.exists(path):
-        raise DataError(f"input file does not exist: {path}")
-    with open(path) as fh:
+    with opened(path, "input") as fh:
         header = fh.readline().strip()
         cols = header.split(",")
         if len(cols) < 3 or cols[0] != "t" or cols[1] != "y":

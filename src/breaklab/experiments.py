@@ -25,7 +25,7 @@ from .break_tests import STAT_RECIPES, register_statistic, scan_range  # noqa: F
 from .errors import SpecError, TableLookupError
 from .estimators import ols_fit
 from .rng import DEFAULT_MASTER_SEED, InnovCov, replication_stream
-from .schema import SCHEMA_VERSION, jsonable, typed
+from .schema import SCHEMA_VERSION, jsonable, opened, typed
 
 log = logging.getLogger(__name__)
 
@@ -244,20 +244,21 @@ def _evaluate_stack(stack, rep_lo, stat_items, paths_upto):
     outcome on it once.  An outcome is dropped as soon as its sups, skipped
     counts and sampled paths are read: a path is kept for a sampled
     replication whose sup is defined.  The spec has already refused a cell
-    with no candidate split.
+    with no candidate split.  A row with no estimate may overflow or divide
+    by zero on the way; it is discarded, so the fit and every statistic run
+    with those warnings off.
     """
-    # a rank-deficient row holds no estimate and may overflow; it is discarded
-    with np.errstate(over="ignore", invalid="ignore"):
-        fit = ols_fit(stack)
     n_sampled = max(0, min(len(stack), paths_upto - rep_lo))
     sups, skipped, paths = {}, {}, []
-    for kind, nu in stat_items:
-        out = STAT_RECIPES[kind].compute(stack, fit, nu)
-        sups[kind] = out.sup_value
-        skipped[kind] = int(np.sum(out.skipped))
-        paths += [(rep_lo + j, kind, out.ks, out.path[j].copy())
-                  for j in range(n_sampled) if not np.isnan(out.sup_value[j])]
-        del out
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        fit = ols_fit(stack)
+        for kind, nu in stat_items:
+            out = STAT_RECIPES[kind].compute(stack, fit, nu)
+            sups[kind] = out.sup_value
+            skipped[kind] = int(np.sum(out.skipped))
+            paths += [(rep_lo + j, kind, out.ks, out.path[j].copy())
+                      for j in range(n_sampled) if not np.isnan(out.sup_value[j])]
+            del out
     skipped[RANK_DEFICIENT] = int(np.count_nonzero(~fit.full_rank))
     paths.sort(key=lambda entry: entry[0])  # by replication; stable, so kinds keep their order
     return sups, paths, skipped
@@ -500,7 +501,7 @@ def report_to_csv(report, path):
         lines.append(
             ",".join(_format_cell(getattr(row, col)) for col in REPORT_COLUMNS)
         )
-    with open(path, "w") as fh:
+    with opened(path, "report", "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -519,5 +520,5 @@ def paths_to_csv(report, path):
         ]
         for k, value in zip(ks, values):
             lines.append(",".join(prefix + [str(int(k)), _format_cell(value)]))
-    with open(path, "w") as fh:
+    with opened(path, "paths", "w") as fh:
         fh.write("\n".join(lines) + "\n")

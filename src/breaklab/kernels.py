@@ -22,22 +22,24 @@ GRAM_PIVOT_RTOL = 1e-10
 # ---------------------------------------------------------------------------
 
 def ar1_path(shocks, rho, x0=0.0, *, out=None):
-    """Recursion x_t = rho * x_{t-1} + shock_t started at x0; returns x_1..x_n.
+    """Recursion x_t = rho_t * x_{t-1} + shock_t started at x0; returns x_1..x_n.
 
-    ``shocks`` is one series (n,) or a stack (R, n) of them, and ``x0`` a
-    scalar or one start per row.  The loop runs over time, one vector
-    operation across the stack per step, in place on a copy of ``shocks`` in
-    ``out`` (``shocks`` itself, any view of its shape, or new if None), which
-    it returns.  Every step rounds ``rho * x_{t-1}`` before adding the shock.
+    ``shocks`` is one series (n,) or a stack (R, n) of them, ``x0`` a scalar
+    or one start per row, and ``rho`` broadcasts against the stack likewise:
+    a scalar, one root per step (n,) or per row (R, 1).  The loop runs over
+    time, one vector operation across the stack per step, in place on a copy
+    of ``shocks`` in ``out`` (``shocks`` itself, any view of its shape, or new
+    if None), which it returns.  Every step rounds ``rho_t * x_{t-1}`` before
+    adding the shock, however the roots were given.
     """
-    rho = float(rho)
     shocks = np.asarray(shocks, dtype=np.float64)
     path = np.empty(shocks.shape) if out is None else out
     path[...] = shocks
     rows = np.atleast_2d(path)
+    rhos = np.broadcast_to(np.asarray(rho, dtype=np.float64), rows.shape).T
     prev = np.broadcast_to(np.asarray(x0, dtype=np.float64), rows.shape[:1])
-    for step in rows.T:
-        step += rho * prev
+    for step, rho_t in zip(rows.T, rhos):
+        step += rho_t * prev
         prev = step
     return path
 

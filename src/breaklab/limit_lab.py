@@ -25,14 +25,14 @@ budgets, the normals plus the workspace, whatever the number of draws.
 
 import math
 from dataclasses import dataclass
-from json import dump, load
+from json import dump
 
 import numpy as np
 
 from . import kernels
 from .errors import DataError, SpecError, TableLookupError
 from .rng import DEFAULT_MASTER_SEED, limit_draw_stream
-from .schema import SCHEMA_VERSION, jsonable, typed
+from .schema import SCHEMA_VERSION, jsonable, opened, read_json, typed
 
 FUNCTIONAL_KINDS = ("supabsbb", "supqp", "supabslurcusum", "cvmp1trace")
 
@@ -393,17 +393,10 @@ def table_from_json_dict(payload):
 
 
 def save_table(table, path):
-    with open(path, "w") as fh:
+    with opened(path, "critical-value table", "w") as fh:
         dump(table_to_json_dict(table), fh, indent=2)
         fh.write("\n")
 
 
 def load_table(path):
-    try:
-        with open(path) as fh:
-            payload = load(fh)
-    except FileNotFoundError as exc:
-        raise DataError(f"critical-value table file does not exist: {path}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path}: not valid JSON: {exc}") from exc
-    return table_from_json_dict(payload)
+    return table_from_json_dict(read_json(path, "critical-value table"))

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecError
+from .schema import finite
 
 #: master seed used when none is given, so documented examples reproduce
 DEFAULT_MASTER_SEED = 0xC0FFEE
@@ -137,6 +138,8 @@ class InnovCov:
     sigma_eps_u: float = 0.0
 
     def __post_init__(self):
+        for name in ("sigma_eps_sq", "sigma_u_sq", "sigma_eps_u"):
+            finite(getattr(self, name), name, SpecError)
         if self.sigma_eps_sq < 0:
             raise SpecError(f"sigma_eps_sq must be nonnegative, got {self.sigma_eps_sq}")
         if self.sigma_u_sq < 0:

@@ -1,6 +1,12 @@
-"""Output schema versioning, JSON helpers and typed config fields."""
+"""Output schema versioning, file and JSON helpers and typed config fields."""
+
+import json
+import os
+from contextlib import contextmanager
 
 import numpy as np
+
+from .errors import DataError
 
 #: bumped whenever any CSV header or JSON layout changes
 SCHEMA_VERSION = "1"
@@ -30,3 +36,48 @@ def typed(convert, value, name, error):
     except (TypeError, ValueError, OverflowError) as exc:
         what = "an integer" if convert is int else "a number"
         raise error(f"{name} must be {what}, got {value!r}") from exc
+
+
+def finite(value, name, error):
+    """Refuse a NaN or infinite ``value`` (a number or a sequence of them) with
+    ``error`` naming ``name``; a range check alone lets NaN through."""
+    if not np.all(np.isfinite(value)):
+        raise error(f"{name} must be finite, got {value!r}")
+
+
+@contextmanager
+def opened(path, what, mode="r"):
+    """``open(path, mode)``; any ``OSError`` from opening to closing raises
+    :class:`DataError` naming the ``what`` file and its path."""
+    try:
+        with open(path, mode) as fh:
+            yield fh
+    except OSError as exc:
+        if mode == "r" and isinstance(exc, FileNotFoundError):
+            raise DataError(f"{what} file does not exist: {path}") from exc
+        verb = "read" if mode == "r" else "write"
+        raise DataError(f"cannot {verb} {what} file {path}: {exc.strerror or exc}") from exc
+
+
+def check_writable(*paths):
+    """Open each output path (None: none) for writing once, before any work,
+    so an output that cannot be written fails first; a probe file is removed."""
+    for path in filter(None, paths):
+        created = not os.path.lexists(path)
+        with opened(path, "output", "a"):
+            pass
+        if created:
+            os.remove(path)
+
+
+def read_json(path, what):
+    """The JSON object in the ``what`` file at ``path``; a file that cannot
+    be read, is not JSON or holds no object raises :class:`DataError`."""
+    with opened(path, what) as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: the {what} must be a JSON object, got {type(payload).__name__}")
+    return payload

@@ -382,6 +382,60 @@ def test_bad_functional_or_table_exits_2_before_any_draw(tmp_path, capfd, monkey
     assert drawn == []
 
 
+_EXPERIMENT = ["experiment", "--spec", "spec.json", "--out", "r.csv"]
+_TEST = ["test", "--stat", "cusum", "--input", "d.csv"]
+_PLUR = {"family": "predictive_lur", "T": 50}
+
+
+@pytest.mark.parametrize(
+    "grid,argv,named",
+    [
+        ([{**_PLUR, "c": float("nan")}], _EXPERIMENT, "persistence c must be finite"),
+        ([{**_PLUR, "mu": float("nan")}], _EXPERIMENT, "intercept mu must be finite"),
+        ([{**_PLUR, "x0": float("inf")}], _EXPERIMENT, "x0 must be finite"),
+        ([{**_PLUR, "sigma_eps_u": float("nan")}], _EXPERIMENT, "sigma_eps_u must be finite"),
+        (None, ["simulate", "--family", "predictive_lur", "--T", "50", "--c", "nan", "--out", "s.csv"],
+         "persistence c must be finite"),
+        (None, ["simulate", "--family", "location", "--T", "50", "--out", "nodir/s.csv"], "nodir/s.csv"),
+        (None, [*_TEST, "--out", "nodir/o.json"], "nodir/o.json"),
+        (None, [*_TEST, "--path-out", "nodir/p.csv"], "nodir/p.csv"),
+        (None, ["critvals", "--kind", "supabsbb", "--reps", "1000", "--steps", "50", "--out", "nodir/t.json"],
+         "nodir/t.json"),
+        (None, ["experiment", "--spec", "spec.json", "--out", "nodir/r.csv"], "nodir/r.csv"),
+        (None, [*_TEST, "--critvals", "adir"], "critical-value table file adir"),
+        (None, ["experiment", "--spec", "adir", "--out", "r.csv"], "experiment spec file adir"),
+        (None, ["simulate", "--config", "adir", "--out", "s.csv"], "config file adir"),
+        (None, ["test", "--stat", "cusum", "--input", "adir"], "input file adir"),
+    ],
+    ids=["grid-c-nan", "grid-mu-nan", "grid-x0-inf", "grid-sigma-eps-u-nan", "simulate-c-nan",
+         "simulate-out", "test-out", "test-path-out", "critvals-out", "experiment-out",
+         "critvals-dir", "spec-dir", "config-dir", "input-dir"],
+)
+def test_non_finite_parameters_and_unusable_files_exit_2_before_any_draw(
+    tmp_path, capfd, monkeypatch, grid, argv, named
+):
+    # a missing directory "nodir" for outputs, a directory "adir" where a file is read
+    from breaklab import rng
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "spec.json").write_text(json.dumps({**_SPEC, "dgp_grid": grid or _SPEC["dgp_grid"]}))
+    (tmp_path / "d.csv").write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
+    inputs = sorted(p.name for p in tmp_path.iterdir())
+    drawn = []
+    real_normal_rows = rng.StreamStack.normal_rows
+    monkeypatch.setattr(
+        rng.StreamStack,
+        "normal_rows",
+        lambda self, *args, **kwargs: drawn.append(args) or real_normal_rows(self, *args, **kwargs),
+    )
+    assert main(argv) == 2
+    err = capfd.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs  # no output, sidecar or probe left
+    assert drawn == []
+
+
 def test_log_lines_after_main_go_to_the_current_stderr(tmp_path, capfd, monkeypatch):
     # an in-process caller may close the stream main logged to once main returns,
     # as pytest's capture does at the end of a test; later engine lines must not

@@ -233,6 +233,25 @@ def test_ar1_path_stack_with_per_row_start_matches_scalar_recursion(rho):
     assert_allclose(ar1_path(np.asfortranarray(shocks), rho, x0), expected, rtol=0, atol=0)
 
 
+def test_ar1_path_per_step_and_per_row_roots_match_scalar_calls_bit_for_bit():
+    gen = np.random.default_rng(5)
+    shocks = gen.standard_normal((6, 50))
+    x0 = gen.standard_normal(6)
+    # one root per step, switching at steps 20 and 35: the scalar recursion run
+    # segment by segment, each segment started at the last value of the one before
+    rho = np.r_[np.full(20, 0.5), np.full(15, 1.02), np.full(15, -0.3)]
+    segments = [ar1_path(shocks[:, :20], 0.5, x0)]
+    segments.append(ar1_path(shocks[:, 20:35], 1.02, segments[-1][:, -1]))
+    segments.append(ar1_path(shocks[:, 35:], -0.3, segments[-1][:, -1]))
+    want = np.concatenate(segments, axis=1)
+    assert ar1_path(shocks, rho, x0).tobytes() == want.tobytes()
+    assert ar1_path(shocks[2], rho, x0[2]).tobytes() == want[2].tobytes()
+    # one root per row, as an (R, 1) column: each row's own scalar call
+    rho_rows = gen.uniform(-1.0, 1.05, (6, 1))
+    want_rows = np.stack([ar1_path(shocks[i], float(rho_rows[i, 0]), x0[i]) for i in range(6)])
+    assert ar1_path(shocks, rho_rows, x0).tobytes() == want_rows.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # caller-given scratch
 # ---------------------------------------------------------------------------
