@@ -71,8 +71,6 @@ class TestOutcome:
             "cv": None if self.critical_value is None else float(self.critical_value),
             "reject": self.reject,
             "nu": float(self.nu),
-            "p": int(self.p),
-            "sided": self.sided,
             "n_skipped": len(self.skipped),
         }
 
@@ -113,7 +111,7 @@ def _scan_setup(kind, fit, nu):
     """Rows of ``fit`` the statistic is defined on, its trimming (None: the
     kind's default) and scan range; one degenerate sample raises."""
     if np.ndim(fit.usable) == 0 and not fit.usable:
-        raise DegenerateSampleError("residual variance is zero; statistic undefined")
+        raise DegenerateSampleError("residual variance is zero or not finite; statistic undefined")
     nu = STAT_RECIPES[kind].default_nu if nu is None else nu
     return fit.usable, nu, scan_range(fit.n_obs, fit.p, nu)
 
@@ -318,7 +316,8 @@ def register_statistic(kind, compute):
     :class:`~breaklab.errors.BreakLabError` where the sample fails.  The
     replication counts as failed there and wherever ``sup_value`` is NaN.
     The kind is decided at a critical value of 0, with limit dimension 1
-    and trimming 0.
+    and trimming 0.  The engine runs it in every experiment that lists it;
+    ``breaklab test`` does not offer it, since it has no one-sample outcome.
     """
     STAT_RECIPES[kind] = StatRecipe(_per_sample(kind, compute))
 

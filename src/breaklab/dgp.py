@@ -79,19 +79,20 @@ class DgpSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise SpecError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if not (isinstance(self.T, (int, np.integer)) and self.T >= 4):
-            raise SpecError(f"T must be an integer >= 4, got {self.T!r}")
+        if not (isinstance(self.T, (int, np.integer)) and 4 <= self.T <= np.iinfo(np.intp).max):
+            raise SpecError(f"T must be an integer >= 4 that fits in a 64-bit array index, got {self.T!r}")
         if not 0.0 <= self.s <= 1.0:
             raise SpecError(f"break fraction s must lie in [0, 1], got {self.s}")
         object.__setattr__(self, "params_pre", tuple(float(v) for v in self.params_pre))
         object.__setattr__(self, "params_post", tuple(float(v) for v in self.params_post))
         for name, value in (("persistence c", self.persistence_c), ("intercept mu", self.intercept),
-                            ("x0", self.x0), ("params_pre", self.params_pre), ("params_post", self.params_post)):
+                            ("x0", self.x0), ("params_pre (config key beta_pre)", self.params_pre),
+                            ("params_post (config key beta_post)", self.params_post)):
             finite(value, name, SpecError)
         if len(self.params_pre) != len(self.params_post) or len(self.params_pre) < 1:
             raise SpecError(
-                "params_pre and params_post must have equal positive length, got "
-                f"{len(self.params_pre)} and {len(self.params_post)}"
+                "params_pre and params_post (config keys beta_pre, beta_post) must have equal positive length, "
+                f"got {len(self.params_pre)} and {len(self.params_post)}"
             )
         if self.s in (0.0, 1.0) and self.params_pre != self.params_post:
             raise SpecError(
@@ -358,12 +359,10 @@ def spec_to_config(spec):
 def _as_coef_tuple(value, key):
     if value is None:
         return None
-    if isinstance(value, (int, float)):
-        return (float(value),)
-    try:
-        return tuple(float(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"config key {key!r} must be a number or list of numbers") from exc
+    values = [value] if isinstance(value, (int, float)) else value
+    if not (isinstance(values, (list, tuple)) and values):
+        raise SpecError(f"config key {key!r} must be a number or a non-empty list of numbers, got {value!r}")
+    return tuple(typed(float, v, f"config key {key!r}", SpecError) for v in values)
 
 
 def spec_from_config(cfg):
@@ -425,7 +424,11 @@ def sample_to_csv(sample, path):
     """Write a sample as CSV with header ``t,y,x1,...,xp``.
 
     Floats are written with 17 significant digits so the round trip is exact.
+    A non-finite value raises :class:`DataError` naming its row.
     """
+    bad = np.flatnonzero(~(np.isfinite(sample.y) & np.isfinite(sample.X).all(axis=1)))
+    if bad.size:  # sample_from_csv would refuse it
+        raise DataError(f"sample row {bad[0] + 1} has a non-finite value in y or X; its DGP overflows")
     p = sample.p
     header = "t,y," + ",".join(f"x{j}" for j in range(1, p + 1))
     buf = io.StringIO()

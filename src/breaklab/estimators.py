@@ -17,12 +17,12 @@ class OlsFit:
     """Least-squares fit with the pieces downstream statistics need.
 
     ``design`` keeps the regressor matrix so partial-sum operations can be
-    computed from the fit alone; ``sample_ref`` is a free-form identifier of
-    the fitted sample.  A fit of stacked samples carries the replication
-    axis first in every field, and ``full_rank`` flags the samples whose
-    design passed the rank check (the other rows hold no estimate).
+    computed from the fit alone.  A fit of stacked samples carries the
+    replication axis first in every field, and ``full_rank`` flags the
+    samples whose design passed the rank check (the other rows hold no
+    estimate).
     ``usable`` flags where the statistics are defined: a full-rank fit whose
-    residual variance is neither <= 0 nor <= 1e-20 times the mean squared
+    residual variance is finite and neither <= 0 nor <= 1e-20 times the mean squared
     fitted value, so exactly- or numerically-constant samples fail while
     genuinely noisy ones never do.  Both flags are scalars for one sample.
     """
@@ -31,7 +31,6 @@ class OlsFit:
     residuals: np.ndarray
     sigma_hat_sq: float
     design: np.ndarray
-    sample_ref: str = ""
     full_rank: object = True
     usable: object = True
 
@@ -49,7 +48,6 @@ class OlsFit:
             "beta_hat": [float(b) for b in self.beta_hat],
             "sigma_hat_sq": float(self.sigma_hat_sq),
             "n_obs": int(self.n_obs),
-            "sample_ref": self.sample_ref,
         }
 
 
@@ -71,7 +69,7 @@ class SplitFit:
         }
 
 
-def fit_xy(X, y, sample_ref=""):
+def fit_xy(X, y):
     """OLS via the normal equations with a rank-revealing singularity check.
 
     ``X`` (T, p) and ``y`` (T,) are one sample; with a leading replication
@@ -101,22 +99,21 @@ def fit_xy(X, y, sample_ref=""):
     fitted_sq = np.mean(fitted**2, axis=-1)
     residuals = np.subtract(y, fitted, out=fitted)
     sigma_hat_sq = (residuals[..., None, :] @ residuals[..., :, None])[..., 0, 0] / T
-    degenerate = (sigma_hat_sq <= 0.0) | (sigma_hat_sq <= 1e-20 * fitted_sq)
+    degenerate = ~np.isfinite(sigma_hat_sq) | (sigma_hat_sq <= 0.0) | (sigma_hat_sq <= 1e-20 * fitted_sq)
     return OlsFit(
         beta_hat=beta,
         residuals=residuals,
         sigma_hat_sq=sigma_hat_sq,
         design=X,
-        sample_ref=sample_ref,
         full_rank=bad == p,
         usable=(bad == p) & ~degenerate,
     )
 
 
-def ols_fit(sample, sample_ref=""):
+def ols_fit(sample):
     """Full-sample OLS fit of a :class:`~breaklab.dgp.Sample`, or of a stack
     of samples exposing (R, T, p) ``X`` and (R, T) ``y`` (see :func:`fit_xy`)."""
-    return fit_xy(sample.X, sample.y, sample_ref=sample_ref)
+    return fit_xy(sample.X, sample.y)
 
 
 def split_fit(sample, k):
@@ -129,9 +126,9 @@ def split_fit(sample, k):
         raise BreakIndexError(
             f"break index k={k} must satisfy p={p} <= k <= T-p={T - p}"
         )
-    pre = fit_xy(sample.X[:k], sample.y[:k], sample_ref="pre")
-    post = fit_xy(sample.X[k:], sample.y[k:], sample_ref="post")
-    pooled = ols_fit(sample, sample_ref="pooled")
+    pre = fit_xy(sample.X[:k], sample.y[:k])
+    post = fit_xy(sample.X[k:], sample.y[k:])
+    pooled = ols_fit(sample)
     return SplitFit(k=int(k), fit_pre=pre, fit_post=post, pooled_null_fit=pooled)
 
 

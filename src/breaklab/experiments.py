@@ -16,7 +16,7 @@ each statistic is evaluated once on the stacked fits.
 """
 
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from . import dgp, limit_lab
 from .break_tests import STAT_RECIPES, register_statistic, scan_range  # noqa: F401  (re-exported)
 from .errors import SpecError, TableLookupError
 from .estimators import ols_fit
-from .rng import DEFAULT_MASTER_SEED, InnovCov, replication_stream
+from .rng import DEFAULT_MASTER_SEED, LIMIT_DRAW_STREAM_OFFSET, InnovCov, SeedSpec, replication_stream
 from .schema import SCHEMA_VERSION, jsonable, opened, typed
 
 log = logging.getLogger(__name__)
@@ -77,14 +77,15 @@ class ExperimentSpec:
         object.__setattr__(self, "dgp_grid", tuple(self.dgp_grid))
         object.__setattr__(self, "stat_kinds", tuple(self.stat_kinds))
         if not self.dgp_grid:
-            raise SpecError("experiment needs at least one DGP in the grid")
+            raise SpecError("experiment needs at least one DGP in dgp_grid")
         unknown = [k for k in self.stat_kinds if k not in STAT_RECIPES]
         if unknown:
-            raise SpecError(f"unknown statistic kind(s): {', '.join(unknown)}")
+            raise SpecError(f"unknown statistic kind(s) in stat_kinds: {', '.join(map(str, unknown))}")
         if not self.stat_kinds:
-            raise SpecError("experiment needs at least one statistic kind")
-        if self.n_reps < 100:
-            raise SpecError(f"n_reps must be at least 100, got {self.n_reps}")
+            raise SpecError("experiment needs at least one statistic kind in stat_kinds")
+        if not 100 <= self.n_reps <= LIMIT_DRAW_STREAM_OFFSET:  # replication ids stay below the limit draws'
+            raise SpecError(f"n_reps must be at least 100 and at most 2**63, got {self.n_reps}")
+        SeedSpec(self.master_seed, 0)  # a master seed that names no stream fails before any table
         if not 0.0 < self.level < 1.0:
             raise SpecError(f"level must lie in (0, 1), got {self.level}")
         for cell, dspec in enumerate(self.dgp_grid):  # a cell with no candidate split fails before any draw
@@ -124,43 +125,53 @@ def experiment_to_config(spec):
     }
 
 
-def _field(cfg, key, convert, default, where="experiment config"):
-    return typed(convert, cfg.get(key, default), f"{where} key {key!r}", SpecError)
+def _from_config(cls, cfg, where, **nested):
+    """``cls`` from the JSON object ``cfg``, whose keys must be fields of ``cls``; a field
+    without a default must be given.  A value is read by its field's type (a number, a
+    list of strings for a tuple, a string as it is, None where that is the default, an
+    object for a dataclass), or by ``nested[name](value, label)``."""
+    unknown = sorted(set(cfg) - {f.name for f in fields(cls)})
+    if unknown:
+        raise SpecError(f"unknown {where} key(s): {', '.join(unknown)}")
+    kwargs = {}
+    for f in fields(cls):
+        label = f"{where} key {f.name!r}"
+        if f.name not in cfg:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise SpecError(f"{where} is missing required key {f.name!r}")
+            continue
+        value = cfg[f.name]
+        if f.name in nested:
+            value = nested[f.name](value, label)
+        elif is_dataclass(f.type):
+            if not isinstance(value, dict):
+                raise SpecError(f"{label} must be an object, got {value!r}")
+            value = _from_config(f.type, value, f.name)
+        elif f.type is tuple:
+            if not (isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)):
+                raise SpecError(f"{label} must be a list of strings, got {value!r}")
+        elif f.type is not str and not (value is None and f.default is None):
+            value = typed(int if f.type is int else float, value, label, SpecError)
+        kwargs[f.name] = value
+    return cls(**kwargs)
+
+
+def _grid_from_config(cells, label):
+    if not isinstance(cells, (list, tuple)):
+        raise SpecError(f"{label} must be a list, got {cells!r}")
+    grid = []
+    for cell, cfg in enumerate(cells):
+        try:
+            grid.append(dgp.spec_from_config(cfg))
+        except SpecError as exc:
+            raise SpecError(f"dgp_grid[{cell}]: {exc}") from None
+    return grid
 
 
 def experiment_from_config(cfg):
     if not isinstance(cfg, dict):
         raise SpecError(f"experiment config must be a JSON object, got {type(cfg).__name__}")
-    known = {"master_seed", "n_reps", "level", "nu", "stat_kinds", "table_source", "dgp_grid"}
-    unknown = sorted(set(cfg) - known)
-    if unknown:
-        raise SpecError(f"unknown experiment config key(s): {', '.join(unknown)}")
-    for key in ("dgp_grid", "stat_kinds"):
-        if key not in cfg:
-            raise SpecError(f"experiment config is missing required key {key!r}")
-        if not isinstance(cfg[key], (list, tuple)):
-            raise SpecError(f"experiment config key {key!r} must be a list, got {cfg[key]!r}")
-    source_cfg = cfg.get("table_source", {"mode": "inline"})
-    if not isinstance(source_cfg, dict):
-        raise SpecError(f"experiment config key 'table_source' must be an object, got {source_cfg!r}")
-    paths = source_cfg.get("paths", [])
-    if not (isinstance(paths, (list, tuple)) and all(isinstance(path, str) for path in paths)):
-        raise SpecError(f"table_source key 'paths' must be a list of strings, got {paths!r}")
-    table_source = TableSource(
-        mode=source_cfg.get("mode"),
-        paths=tuple(paths),
-        n_reps=_field(source_cfg, "n_reps", int, TableSource.n_reps, "table_source"),
-        n_steps=_field(source_cfg, "n_steps", int, TableSource.n_steps, "table_source"),
-    )
-    return ExperimentSpec(
-        dgp_grid=tuple(dgp.spec_from_config(d) for d in cfg["dgp_grid"]),
-        stat_kinds=tuple(cfg["stat_kinds"]),
-        nu=None if cfg.get("nu") is None else _field(cfg, "nu", float, None),
-        level=_field(cfg, "level", float, 0.05),
-        n_reps=_field(cfg, "n_reps", int, 1000),
-        table_source=table_source,
-        master_seed=_field(cfg, "master_seed", int, DEFAULT_MASTER_SEED),
-    )
+    return _from_config(ExperimentSpec, cfg, "experiment config", dgp_grid=_grid_from_config)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +339,12 @@ class McReport:
     paths: list = field(default_factory=list)
 
 
+def _cell_key(dspec):
+    """A cell's key columns in the report, the sampled paths and its log line:
+    family, T, s, c and corr."""
+    return dspec.family, dspec.T, dspec.s, dspec.persistence_c, float(dspec.cov.correlation)
+
+
 def _aggregate(kind, nu, sups, cv, dspec, spec):
     failed_mask = np.isnan(sups)
     failed = int(failed_mask.sum())
@@ -346,11 +363,7 @@ def _aggregate(kind, nu, sups, cv, dspec, spec):
         q50 = limit_lab.type1_quantile(ordered, 0.5)
         q95 = limit_lab.type1_quantile(ordered, 0.95)
     return McRow(
-        family=dspec.family,
-        T=dspec.T,
-        s=dspec.s,
-        c=dspec.persistence_c,
-        corr=float(dspec.cov.correlation),
+        *_cell_key(dspec),
         stat=kind,
         nu=nu,
         level=spec.level,
@@ -418,8 +431,7 @@ def run_experiment(spec, workers=1, paths_sample=0):
         ]
         if skipped[RANK_DEFICIENT]:
             notes.append(f"{skipped[RANK_DEFICIENT]}/{spec.n_reps} {RANK_DEFICIENT}")
-        log.info("%s T=%d s=%g c=%g corr=%g: %s", dspec.family, dspec.T, dspec.s, dspec.persistence_c,
-                 float(dspec.cov.correlation), "; ".join(notes))
+        log.info("%s T=%d s=%g c=%g corr=%g: %s", *_cell_key(dspec), "; ".join(notes))
         for kind, nu in stat_items:
             key = spec.table_key(kind, dspec)
             cv = 0.0 if key is None else tables[key].lookup(1.0 - spec.level)
@@ -463,9 +475,6 @@ def size_distortion_study(
                 dgp.DgpSpec(
                     family="predictive_lur",
                     T=T,
-                    s=0.0,
-                    params_pre=(0.0,),
-                    params_post=(0.0,),
                     cov=InnovCov(1.0, 1.0, float(corr)),
                     persistence_c=float(c),
                 )
@@ -473,7 +482,6 @@ def size_distortion_study(
     spec = ExperimentSpec(
         dgp_grid=tuple(grid),
         stat_kinds=tuple(stat_kinds),
-        nu=None,
         level=level,
         n_reps=n_reps,
         table_source=table_source or TableSource(mode="inline"),
@@ -509,15 +517,7 @@ def paths_to_csv(report, path):
     """Write sampled raw statistic paths (long format, one row per k)."""
     lines = [",".join(PATHS_COLUMNS)]
     for dspec, kind, rep, ks, values in report.paths:
-        prefix = [
-            dspec.family,
-            str(dspec.T),
-            _format_cell(dspec.s),
-            _format_cell(dspec.persistence_c),
-            _format_cell(float(dspec.cov.correlation)),
-            kind,
-            str(rep),
-        ]
+        prefix = [_format_cell(value) for value in _cell_key(dspec)] + [kind, str(rep)]
         for k, value in zip(ks, values):
             lines.append(",".join(prefix + [str(int(k)), _format_cell(value)]))
     with opened(path, "paths", "w") as fh:

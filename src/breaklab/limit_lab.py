@@ -31,7 +31,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DataError, SpecError, TableLookupError
-from .rng import DEFAULT_MASTER_SEED, limit_draw_stream
+from .rng import DEFAULT_MASTER_SEED, LIMIT_DRAW_STREAM_OFFSET, limit_draw_stream
 from .schema import SCHEMA_VERSION, jsonable, opened, read_json, typed
 
 FUNCTIONAL_KINDS = ("supabsbb", "supqp", "supabslurcusum", "cvmp1trace")
@@ -103,8 +103,8 @@ def check_functional(kind, n_steps, p, nu, c=None, corr=None):
     """
     if kind not in FUNCTIONAL_KINDS:
         raise SpecError(f"unknown functional kind {kind!r}; expected one of {FUNCTIONAL_KINDS}")
-    if n_steps < 2:
-        raise SpecError(f"n_steps must be at least 2, got {n_steps}")
+    if not 2 <= n_steps <= np.iinfo(np.intp).max:
+        raise SpecError(f"n_steps must be at least 2 and fit in a 64-bit array index, got {n_steps}")
     if p < 1:
         raise SpecError(f"dimension p must be >= 1, got {p}")
     if not (0.0 < nu < 0.5 or nu == 0.0 and kind != "supqp"):
@@ -312,8 +312,8 @@ def tabulate(
     CriticalValueTable
         Empirical type-1 quantiles with full provenance in ``meta``.
     """
-    if n_reps < 1000:
-        raise SpecError(f"tabulation needs n_reps >= 1000, got {n_reps}")
+    if not 1000 <= n_reps <= LIMIT_DRAW_STREAM_OFFSET:  # draw i reads stream 2**63 + i, below 2**64
+        raise SpecError(f"tabulation needs n_reps >= 1000 and <= 2**63, got {n_reps}")
     levels = [float(lv) for lv in levels]
     if not levels or any(not 0.0 < lv < 1.0 for lv in levels):
         raise SpecError(f"quantile levels must lie in (0, 1), got {levels}")
@@ -377,9 +377,9 @@ def table_from_json_dict(payload):
             corr=None if payload.get("corr") is None else field(float, payload["corr"], "corr"),
             quantiles={field(float, lv, "levels"): field(float, v, "levels") for lv, v in levels.items()},
             meta={
-                "n_steps": field(int, meta["n_steps"], "meta.n_steps"),
-                "n_reps": field(int, meta["n_reps"], "meta.n_reps"),
-                "master_seed": field(int, meta["seed"], "meta.seed"),
+                "n_steps": field(int, meta.get("n_steps"), "meta.n_steps"),  # a missing one reads as null
+                "n_reps": field(int, meta.get("n_reps"), "meta.n_reps"),
+                "master_seed": field(int, meta.get("seed"), "meta.seed"),
             },
         )
         check_functional(table.functional_kind, table.meta["n_steps"], table.p, table.nu, table.c, table.corr)

@@ -146,15 +146,15 @@ class InnovCov:
             raise SpecError(f"sigma_u_sq must be nonnegative, got {self.sigma_u_sq}")
         det = self.determinant
         scale = max(self.sigma_eps_sq * self.sigma_u_sq, 1.0e-30)
-        if det < -1e-12 * scale:
+        if not det >= -1e-12 * scale:  # a NaN determinant (inf - inf) is refused too
             raise SpecError(
                 "innovation covariance is not positive semi-definite: "
-                f"determinant {det} < 0"
+                f"determinant {det} < 0 (sigma_eps_u**2 exceeds sigma_eps_sq * sigma_u_sq)"
             )
 
     @property
     def determinant(self):
-        return self.sigma_eps_sq * self.sigma_u_sq - self.sigma_eps_u**2
+        return self.sigma_eps_sq * self.sigma_u_sq - self.sigma_eps_u * self.sigma_eps_u  # inf, not OverflowError
 
     @property
     def correlation(self):

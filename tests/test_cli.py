@@ -449,3 +449,48 @@ def test_log_lines_after_main_go_to_the_current_stderr(tmp_path, capfd, monkeypa
     err = capfd.readouterr().err
     assert "Logging error" not in err
     assert "a later engine line" in err
+
+
+def test_test_does_not_offer_a_registered_statistic(tmp_path, capfd, monkeypatch):
+    # a registered kind has no one-sample outcome: `test` refuses it as any other invalid choice
+    from breaklab.break_tests import STAT_RECIPES, register_statistic
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.csv").write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
+    register_statistic("mine", lambda sample, nu, cache: None)
+    try:
+        assert main(["test", "--stat", "mine", "--input", "d.csv", "--out", "o.json"]) == 1
+    finally:
+        del STAT_RECIPES["mine"]
+    assert "invalid choice: 'mine'" in capfd.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize(
+    "spec,named",
+    [
+        ({**_SPEC, "table_source": {"mode": "inline", "n_rep": 1000}}, "unknown table_source key(s): n_rep"),
+        (
+            {**_SPEC, "dgp_grid": [_DGP, {**_PLUR, "c": float("nan")}]},
+            "dgp_grid[1]: persistence c must be finite, got nan",
+        ),
+    ],
+    ids=["misspelled-table-source-key", "nan-second-grid-entry"],
+)
+def test_spec_refusals_name_the_key_and_the_grid_entry_before_any_draw(tmp_path, capfd, monkeypatch, spec, named):
+    from breaklab import rng
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    drawn = []
+    real_normal_rows = rng.StreamStack.normal_rows
+    monkeypatch.setattr(
+        rng.StreamStack,
+        "normal_rows",
+        lambda self, *args, **kwargs: drawn.append(args) or real_normal_rows(self, *args, **kwargs),
+    )
+    assert main(_EXPERIMENT) == 2
+    err = capfd.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert drawn == []
+    assert not (tmp_path / "r.csv").exists()
