@@ -23,6 +23,7 @@ appears (configs, CLI flags, reports).
 import io
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -31,22 +32,27 @@ from .errors import DataError, SpecError
 from .rng import InnovCov, StreamStack, gaussian_pairs
 from .schema import finite, opened, typed
 
-FAMILIES = ("location", "linear_regression", "cointegration", "predictive_lur", "ar1")
+#: config key -> the :class:`DgpSpec` field it sets (``cov.*``: an :class:`InnovCov`
+#: field), in the order :func:`spec_to_config` writes them
+_CONFIG_FIELDS = {
+    "family": "family",
+    "T": "T",
+    "s": "s",
+    "beta_pre": "params_pre",
+    "beta_post": "params_post",
+    "sigma_eps_sq": "cov.sigma_eps_sq",
+    "sigma_u_sq": "cov.sigma_u_sq",
+    "sigma_eps_u": "cov.sigma_eps_u",
+    "c": "persistence_c",
+    "mu": "intercept",
+    "x0": "x0",
+}
+CONFIG_KEYS = tuple(_CONFIG_FIELDS)
 
-#: the keys of a flat DGP config, in the order :func:`spec_to_config` writes them
-CONFIG_KEYS = (
-    "family",
-    "T",
-    "s",
-    "beta_pre",
-    "beta_post",
-    "sigma_eps_sq",
-    "sigma_u_sq",
-    "sigma_eps_u",
-    "c",
-    "mu",
-    "x0",
-)
+
+def _local_root(c, T):
+    """The autoregressive root ``1 + c/T`` of persistence ``c`` at sample size ``T``."""
+    return 1.0 + c / T
 
 
 @dataclass(frozen=True)
@@ -58,10 +64,11 @@ class DgpSpec:
     regimes are non-empty whenever 0 < s < 1.  ``s`` equal to 0 or 1 encodes
     "no break" and requires equal regime coefficients.
 
-    Persistent families accept autoregressive roots |1 + c/T| <= 1.5.  Near
-    that bound the regressor explodes within the sample (predictive_lur at
-    T=500, c=240 passes 1e80), so the pooled design fails the rank
-    check in every replication: an experiment cell reports ``failed`` equal
+    Every autoregressive root a family runs must satisfy |root| <= 1.5:
+    ``1 + c/T``, and for ar1 also each regime coefficient.  Near that bound
+    the regressor explodes within the sample (predictive_lur at T=500,
+    c=240 passes 1e80), so the pooled design fails the rank check in every
+    replication: an experiment cell reports ``failed`` equal
     to ``n_reps`` and a NaN rejection rate for every statistic, and its
     per-cell INFO line counts the rank-deficient pooled designs.
     """
@@ -98,16 +105,13 @@ class DgpSpec:
             raise SpecError(
                 "s encodes no break (s=0 or s=1) but params_pre != params_post"
             )
-        if self.family in ("location", "cointegration", "predictive_lur", "ar1"):
-            if self.p != 1:
-                raise SpecError(f"family {self.family!r} requires exactly one coefficient, got p={self.p}")
-        if self.family in ("predictive_lur", "ar1"):
-            rho = 1.0 + self.persistence_c / self.T
+        family = _FAMILIES[self.family]
+        if family.one_coef and self.p != 1:
+            raise SpecError(f"family {self.family!r} requires exactly one coefficient, got p={self.p}")
+        for key, rho in family.roots(self).items():
             if abs(rho) > 1.5:
-                raise SpecError(
-                    f"persistence c={self.persistence_c} gives autoregressive root "
-                    f"{rho:.4g} with |root| > 1.5 (wildly explosive)"
-                )
+                setting = f"persistence c={self.persistence_c}" if key == "c" else f"{key}={rho}"
+                raise SpecError(f"{setting} gives autoregressive root {rho:.4g} with |root| > 1.5 (wildly explosive)")
 
     @property
     def p(self):
@@ -245,7 +249,7 @@ def _predictive_lur(spec, z):
     The design is [1, x_{t-1}].
     """
     T = spec.T
-    rho = 1.0 + spec.persistence_c / T
+    rho = _local_root(spec.persistence_c, T)
     pairs = gaussian_pairs(z, spec.cov)
     eps, u = pairs[:, 1:, 0], pairs[:, 1:, 1]
     x = kernels.ar1_path(u, rho, spec.x0)
@@ -272,21 +276,32 @@ def _ar1(spec, z):
     return y, X, {"u": u}
 
 
+def _lur_roots(spec):
+    return {"c": _local_root(spec.persistence_c, spec.T)}
+
+
 @dataclass(frozen=True)
 class _Family:
     design_dim: object  # spec -> number of design columns
     draw_shape: object  # spec -> shape of one replication's standard normals
     build: object  # (spec, z) -> (y, X, innovations) stacks
+    one_coef: bool = True  # takes exactly one regime coefficient
+    roots: object = lambda spec: {}  # spec -> {config key: autoregressive root it sets}, each |root| <= 1.5
 
 
 _FAMILIES = {
     "location": _Family(lambda spec: 1, lambda spec: (spec.T,), _location),
-    "linear_regression": _Family(lambda spec: spec.p, lambda spec: (spec.T * spec.p,), _linear_regression),
+    "linear_regression": _Family(
+        lambda spec: spec.p, lambda spec: (spec.T * spec.p,), _linear_regression, one_coef=False
+    ),
     "cointegration": _Family(lambda spec: 1, lambda spec: (spec.T, 2), _cointegration),
     # intercept column plus lagged regressor
-    "predictive_lur": _Family(lambda spec: 2, lambda spec: (spec.T + 1, 2), _predictive_lur),
-    "ar1": _Family(lambda spec: 1, lambda spec: (spec.T,), _ar1),
+    "predictive_lur": _Family(lambda spec: 2, lambda spec: (spec.T + 1, 2), _predictive_lur, roots=_lur_roots),
+    # its coefficients are the roots the recursion runs; c, which sets their default, is bounded too
+    "ar1": _Family(lambda spec: 1, lambda spec: (spec.T,), _ar1, roots=lambda spec: {
+        **_lur_roots(spec), "beta_pre": spec.params_pre[0], "beta_post": spec.params_post[0]}),
 }
+FAMILIES = tuple(_FAMILIES)
 
 
 def _stack(spec, z):
@@ -341,19 +356,8 @@ gen_ar1 = _family_generator("ar1")
 
 def spec_to_config(spec):
     """Flatten a DgpSpec into the documented key-value form."""
-    return {
-        "family": spec.family,
-        "T": spec.T,
-        "s": spec.s,
-        "beta_pre": list(spec.params_pre),
-        "beta_post": list(spec.params_post),
-        "sigma_eps_sq": spec.cov.sigma_eps_sq,
-        "sigma_u_sq": spec.cov.sigma_u_sq,
-        "sigma_eps_u": spec.cov.sigma_eps_u,
-        "c": spec.persistence_c,
-        "mu": spec.intercept,
-        "x0": spec.x0,
-    }
+    config = {key: attrgetter(name)(spec) for key, name in _CONFIG_FIELDS.items()}
+    return {key: list(value) if isinstance(value, tuple) else value for key, value in config.items()}
 
 
 def _as_coef_tuple(value, key):
@@ -368,52 +372,38 @@ def _as_coef_tuple(value, key):
 def spec_from_config(cfg):
     """Build a DgpSpec from a flat config mapping.
 
-    Unknown keys are rejected by name.  For the ``ar1`` family the regime
-    coefficients may be omitted, in which case both default to the root
-    ``1 + c/T``.
+    Unknown keys are rejected by name, and a key not given keeps the
+    default of its :class:`DgpSpec` or :class:`InnovCov` field.  For the
+    ``ar1`` family the regime coefficients may be omitted, in which case
+    both default to the root ``1 + c/T``.
     """
     if not isinstance(cfg, dict):
         raise SpecError(f"DGP config must be a JSON object, got {cfg!r}")
-
-    def number(key, default):
-        return typed(float, cfg.get(key, default), f"config key {key!r}", SpecError)
-
     unknown = sorted(set(cfg) - set(CONFIG_KEYS))
     if unknown:
         raise SpecError(f"unknown config key(s): {', '.join(unknown)}")
     for key in ("family", "T"):
         if key not in cfg:
             raise SpecError(f"config is missing required key {key!r}")
-    family = cfg["family"]
     T = cfg["T"]
     if not isinstance(T, (int, np.integer)):
         raise SpecError(f"config key 'T' must be an integer, got {T!r}")
-    beta_pre = _as_coef_tuple(cfg.get("beta_pre"), "beta_pre")
-    beta_post = _as_coef_tuple(cfg.get("beta_post"), "beta_post")
-    c = number("c", 0.0)
-    if beta_pre is None and beta_post is None and family == "ar1":
-        root = 1.0 + c / T
-        beta_pre = beta_post = (root,)
-    if beta_pre is None:
-        beta_pre = beta_post if beta_post is not None else (0.0,)
-    if beta_post is None:
-        beta_post = beta_pre
-    cov = InnovCov(
-        sigma_eps_sq=number("sigma_eps_sq", 1.0),
-        sigma_u_sq=number("sigma_u_sq", 1.0),
-        sigma_eps_u=number("sigma_eps_u", 0.0),
-    )
-    return DgpSpec(
-        family=family,
-        T=int(T),
-        s=number("s", 0.0),
-        params_pre=beta_pre,
-        params_post=beta_post,
-        cov=cov,
-        persistence_c=c,
-        intercept=number("mu", 0.0),
-        x0=number("x0", 0.0),
-    )
+    kwargs, cov = {"family": cfg["family"], "T": int(T)}, {}
+    for key in CONFIG_KEYS:  # only the keys given: every default is the dataclass's
+        if key in ("family", "T") or key not in cfg:
+            continue
+        if key in ("beta_pre", "beta_post"):
+            value = _as_coef_tuple(cfg[key], key)
+        else:
+            value = typed(float, cfg[key], f"config key {key!r}", SpecError)
+        name = _CONFIG_FIELDS[key]
+        (cov if name.startswith("cov.") else kwargs)[name.removeprefix("cov.")] = value
+    pre, post = kwargs.pop("params_pre", None), kwargs.pop("params_post", None)
+    if pre is None and post is None and kwargs["family"] == "ar1":
+        pre = (_local_root(kwargs.get("persistence_c", DgpSpec.persistence_c), kwargs["T"]),)
+    if pre or post:
+        kwargs.update(params_pre=pre or post, params_post=post or pre)
+    return DgpSpec(**kwargs, cov=InnovCov(**cov))
 
 
 # ---------------------------------------------------------------------------

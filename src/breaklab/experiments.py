@@ -255,21 +255,18 @@ def _evaluate_stack(stack, rep_lo, stat_items, paths_upto):
     outcome on it once.  An outcome is dropped as soon as its sups, skipped
     counts and sampled paths are read: a path is kept for a sampled
     replication whose sup is defined.  The spec has already refused a cell
-    with no candidate split.  A row with no estimate may overflow or divide
-    by zero on the way; it is discarded, so the fit and every statistic run
-    with those warnings off.
+    with no candidate split.
     """
     n_sampled = max(0, min(len(stack), paths_upto - rep_lo))
     sups, skipped, paths = {}, {}, []
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        fit = ols_fit(stack)
-        for kind, nu in stat_items:
-            out = STAT_RECIPES[kind].compute(stack, fit, nu)
-            sups[kind] = out.sup_value
-            skipped[kind] = int(np.sum(out.skipped))
-            paths += [(rep_lo + j, kind, out.ks, out.path[j].copy())
-                      for j in range(n_sampled) if not np.isnan(out.sup_value[j])]
-            del out
+    fit = ols_fit(stack)
+    for kind, nu in stat_items:
+        out = STAT_RECIPES[kind].compute(stack, fit, nu)
+        sups[kind] = out.sup_value
+        skipped[kind] = int(np.sum(out.skipped))
+        paths += [(rep_lo + j, kind, out.ks, out.path[j].copy())
+                  for j in range(n_sampled) if not np.isnan(out.sup_value[j])]
+        del out
     skipped[RANK_DEFICIENT] = int(np.count_nonzero(~fit.full_rank))
     paths.sort(key=lambda entry: entry[0])  # by replication; stable, so kinds keep their order
     return sups, paths, skipped
@@ -285,13 +282,17 @@ def _run_cells(payload):
     its normals are drawn once, read-only, and every cell is generated and
     evaluated from them in turn, its stack released before the next cell's
     is generated.  A replication's results depend on its own stream alone,
-    never on the group or payload it landed in.
+    never on the group or payload it landed in.  A replication may overflow
+    or divide by zero in its generation, fit or statistics; its row then has
+    no estimate and is counted as failed, so all of them run with those
+    warnings off.
     """
     dgp_cfgs, stat_items, master_seed, rep_lo, rep_hi, paths_upto = payload
     specs = [dgp.spec_from_config(cfg) for cfg in dgp_cfgs]
     z = replication_stream(master_seed, range(rep_lo, rep_hi)).normal_rows(dgp.draw_shape(specs[0]))
     z.flags.writeable = False  # shared by every cell of the group
-    return [_evaluate_stack(dgp.generate(spec, z), rep_lo, stat_items, paths_upto) for spec in specs]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return [_evaluate_stack(dgp.generate(spec, z), rep_lo, stat_items, paths_upto) for spec in specs]
 
 
 def _run_chunk(payload):
@@ -475,7 +476,7 @@ def size_distortion_study(
                 dgp.DgpSpec(
                     family="predictive_lur",
                     T=T,
-                    cov=InnovCov(1.0, 1.0, float(corr)),
+                    cov=InnovCov(sigma_eps_u=float(corr)),
                     persistence_c=float(c),
                 )
             )

@@ -32,7 +32,7 @@ import numpy as np
 from . import kernels
 from .errors import DataError, SpecError, TableLookupError
 from .rng import DEFAULT_MASTER_SEED, LIMIT_DRAW_STREAM_OFFSET, limit_draw_stream
-from .schema import SCHEMA_VERSION, jsonable, opened, read_json, typed
+from .schema import SCHEMA_VERSION, finite, jsonable, opened, read_json, typed
 
 FUNCTIONAL_KINDS = ("supabsbb", "supqp", "supabslurcusum", "cvmp1trace")
 
@@ -77,10 +77,10 @@ class CriticalValueTable:
         for lv, value in self.quantiles.items():
             if abs(lv - level) <= 1e-9:
                 return value
-        available = ", ".join(f"{lv:g}" for lv in sorted(self.quantiles))
+        available = ", ".join(f"{lv:.10g}" for lv in sorted(self.quantiles))
         raise TableLookupError(
             f"table ({self.functional_kind}, p={self.p}, nu={self.nu:g}) has no "
-            f"quantile at level {level:g}; available levels: {available}"
+            f"quantile at level {level:.10g}; available levels: {available}"
         )
 
 
@@ -191,8 +191,7 @@ def simulate_ou(c, n_steps, stream, x0=0.0, horizon=1.0):
     degenerates to dt at c = 0.  Composing two half-horizon calls on a
     shared stream is bit-identical to one full-horizon call.
     """
-    if not math.isfinite(c):
-        raise SpecError(f"persistence c must be finite, got {c}")
+    finite(c, "persistence c", SpecError)
     if n_steps < 1:
         raise SpecError(f"n_steps must be >= 1, got {n_steps}")
     dt = horizon / n_steps
@@ -345,7 +344,7 @@ def table_to_json_dict(table):
         "nu": table.nu,
         "c": table.c,
         "corr": table.corr,
-        "levels": {f"{lv:g}": jsonable(v) for lv, v in table.quantiles.items()},
+        "levels": {f"{lv:.10g}": jsonable(v) for lv, v in table.quantiles.items()},
         "meta": {
             "n_steps": table.meta["n_steps"],
             "n_reps": table.meta["n_reps"],

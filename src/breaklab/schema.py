@@ -1,6 +1,7 @@
 """Output schema versioning, file and JSON helpers and typed config fields."""
 
 import json
+import math
 import os
 from contextlib import contextmanager
 
@@ -39,9 +40,9 @@ def typed(convert, value, name, error):
 
 
 def finite(value, name, error):
-    """Refuse a NaN or infinite ``value`` (a number or a sequence of them) with
+    """Refuse a NaN or infinite ``value`` (a number or a tuple of them) with
     ``error`` naming ``name``; a range check alone lets NaN through."""
-    if not np.all(np.isfinite(value)):
+    if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
         raise error(f"{name} must be finite, got {value!r}")
 
 

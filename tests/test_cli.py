@@ -494,3 +494,44 @@ def test_spec_refusals_name_the_key_and_the_grid_entry_before_any_draw(tmp_path,
     assert named in err and "Traceback" not in err
     assert drawn == []
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "cell,named",
+    [
+        ({"family": "ar1", "T": 500, "beta_pre": [5.0]}, "beta_pre=5.0 gives"),
+        ({"family": "ar1", "T": 500, "c": 300.0, "beta_pre": [0.5]}, "persistence c=300.0 gives"),
+    ],
+    ids=["ar1-coefficient-root", "ar1-c-root"],
+)
+def test_every_autoregressive_root_is_bounded_before_any_draw(tmp_path, capfd, monkeypatch, cell, named):
+    # ar1 runs its regime coefficients as roots, so they are bounded as c's root is
+    from breaklab import limit_lab, rng
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps({**_SPEC, "dgp_grid": [_DGP, cell]}))
+    calls = []
+    for owner, name in ((rng.StreamStack, "normal_rows"), (limit_lab, "tabulate")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name, lambda *args, real=real, **kwargs: calls.append(args) or real(*args, **kwargs)
+        )
+    assert main(_EXPERIMENT) == 2
+    err = capfd.readouterr().err
+    assert f"dgp_grid[1]: {named} autoregressive root" in err and "Traceback" not in err
+    assert calls == []
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_table_level_keys_round_trip_to_ten_digits(tmp_path, capfd):
+    table = tmp_path / "t.json"
+    argv = ["critvals", "--kind", "supabsbb", "--reps", "1000", "--steps", "50"]
+    assert main([*argv, "--levels", "0.9512341,0.9512342,0.95", "--out", str(table)]) == 0
+    assert list(json.loads(table.read_text())["levels"]) == ["0.95", "0.9512341", "0.9512342"]
+    data = tmp_path / "d.csv"
+    assert main(["simulate", "--family", "location", "--T", "50", "--out", str(data)]) == 0
+    out = tmp_path / "o.json"
+    code = main(["test", "--stat", "cusum", "--input", str(data), "--critvals", str(table),
+                 "--level", "0.0487659", "--out", str(out)])
+    assert code == 0, capfd.readouterr().err
+    assert json.loads(out.read_text())["cv"] == load_table(table).quantiles[0.9512341]

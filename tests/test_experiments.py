@@ -522,3 +522,17 @@ def test_inline_table_keys_are_all_checked_before_any_is_drawn(monkeypatch):
     with pytest.raises(SpecError, match="supqp"):
         run_experiment(spec)
     assert drawn == []
+
+
+def test_an_overflowing_cell_fails_its_rows_without_numpy_warnings():
+    # generation, the fit and the statistics all run under the engine's float policy
+    import warnings
+
+    huge = (1e308, 1e308)
+    cell = DgpSpec(family="linear_regression", T=50, params_pre=huge, params_post=huge)
+    spec = _small_spec(dgp_grid=(cell,), table_source=TableSource(mode="inline", n_reps=1000, n_steps=50))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run_experiment(spec)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert [(row.failed, row.n_reps) for row in report.rows] == [(spec.n_reps, spec.n_reps)]
