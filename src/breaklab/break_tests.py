@@ -58,7 +58,6 @@ class TestOutcome:
     argmax_k: int
     nu: float
     p: int
-    sided: str
     skipped: tuple = ()
     critical_value: float | None = None
     reject: bool | None = None
@@ -127,7 +126,7 @@ def _finish(kind, ks, path, nu, design_dim, sided, valid, skipped=()):
             raise NumericalError(f"{kind}: no candidate break index was computable")
         sup, argmax_k, skipped = float(sup), int(argmax_k), tuple(int(k) for k in skipped)
     p = STAT_RECIPES[kind].limit_dim(design_dim)
-    return TestOutcome(kind, ks, path, sup, argmax_k, float(nu), p, sided, skipped)
+    return TestOutcome(kind, ks, path, sup, argmax_k, float(nu), p, skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +282,7 @@ def _per_sample(kind, compute):
                 ks = np.asarray(outcome.ks)
                 path = np.full((len(stack), len(ks)), np.nan)
             sups[i], path[i] = outcome.sup_value, outcome.path
-        return TestOutcome(kind, ks, path, sups, None, nu, 1, SIGNED, np.zeros(len(stack), int))
+        return TestOutcome(kind, ks, path, sups, None, nu, 1, np.zeros(len(stack), int))
 
     return stack_compute
 

@@ -16,6 +16,8 @@ import json
 import logging
 import sys
 
+import numpy as np
+
 from . import break_tests, dgp, experiments, limit_lab
 from .errors import DataError, NumericalError, SpecError
 from .estimators import ols_fit
@@ -62,10 +64,10 @@ def build_parser():
     sim.add_argument("--family", choices=dgp.FAMILIES, help="model family")
     sim.add_argument("--T", type=int, help="sample size (>= 4)")
     sim.add_argument("--s", type=float, help="break fraction in [0,1]; 0 or 1 = no break")
-    sim.add_argument("--beta-pre", type=_coef_list, help="pre-break coefficients, comma separated")
-    sim.add_argument("--beta-post", type=_coef_list, help="post-break coefficients, comma separated")
-    sim.add_argument("--mu-pre", type=float, help="alias for a single pre-break coefficient")
-    sim.add_argument("--mu-post", type=float, help="alias for a single post-break coefficient")
+    for regime in ("pre", "post"):  # --mu-*: the same key given one number, which the config reader takes
+        coefs = sim.add_mutually_exclusive_group()
+        coefs.add_argument(f"--beta-{regime}", type=_coef_list, help=f"{regime}-break coefficients, comma separated")
+        coefs.add_argument(f"--mu-{regime}", type=float, dest=f"beta_{regime}", help=f"--beta-{regime} of one number")
     sim.add_argument("--sigma-eps", type=float, dest="sigma_eps_sq", metavar="SIGMA_EPS",
                      help="variance of the response innovation")
     sim.add_argument("--sigma-u", type=float, dest="sigma_u_sq", metavar="SIGMA_U",
@@ -154,12 +156,6 @@ def _write_provenance(out_path, payload):
 
 def _merged_dgp_config(args):
     cfg = read_json(args.config, "config") if args.config else {}
-    for regime in ("pre", "post"):  # --mu-pre/--mu-post: single-coefficient aliases
-        alias = getattr(args, f"mu_{regime}")
-        if alias is not None:
-            if getattr(args, f"beta_{regime}") is not None:
-                raise SpecError(f"give either --beta-{regime} or --mu-{regime}, not both")
-            cfg[f"beta_{regime}"] = [alias]
     for key in dgp.CONFIG_KEYS:  # every config key has a flag of that dest
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
@@ -171,7 +167,8 @@ def cmd_simulate(args):
     cfg = _merged_dgp_config(args)
     spec = dgp.spec_from_config(cfg)
     stream = derive_stream(SeedSpec(args.seed, args.stream))
-    sample = dgp.generate(spec, stream)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as in the engine: no warnings
+        sample = dgp.generate(spec, stream)
     dgp.sample_to_csv(sample, args.out)
     _write_provenance(
         args.out,

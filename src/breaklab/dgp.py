@@ -22,7 +22,7 @@ appears (configs, CLI flags, reports).
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
 import numpy as np
@@ -106,6 +106,9 @@ class DgpSpec:
                 "s encodes no break (s=0 or s=1) but params_pre != params_post"
             )
         family = _FAMILIES[self.family]
+        for key, default in _DEFAULTS.items():  # a setting no draw reads would only mislabel the output
+            if key not in family.reads and _GETTERS[key](self) != default:
+                raise SpecError(f"family {self.family!r} does not read {key}, got {_GETTERS[key](self)!r}")
         if family.one_coef and self.p != 1:
             raise SpecError(f"family {self.family!r} requires exactly one coefficient, got p={self.p}")
         for key, rho in family.roots(self).items():
@@ -131,6 +134,14 @@ class DgpSpec:
             return self.T
         k = math.floor(self.T * self.s)
         return min(max(k, 1), self.T - 1)
+
+
+#: config key -> its getter on a :class:`DgpSpec`
+_GETTERS = {key: attrgetter(name) for key, name in _CONFIG_FIELDS.items()}
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(DgpSpec)} | {f"cov.{f.name}": f.default for f in fields(InnovCov)}
+#: config key -> its default, for each setting a family may leave unread (``_Family.reads``)
+_DEFAULTS = {key: _FIELD_DEFAULTS[_CONFIG_FIELDS[key]]
+             for key in ("sigma_eps_sq", "sigma_u_sq", "sigma_eps_u", "c", "mu", "x0")}
 
 
 @dataclass
@@ -285,20 +296,23 @@ class _Family:
     design_dim: object  # spec -> number of design columns
     draw_shape: object  # spec -> shape of one replication's standard normals
     build: object  # (spec, z) -> (y, X, innovations) stacks
+    reads: tuple  # the keys of ``_DEFAULTS`` build reads; any other must keep its default
     one_coef: bool = True  # takes exactly one regime coefficient
     roots: object = lambda spec: {}  # spec -> {config key: autoregressive root it sets}, each |root| <= 1.5
 
 
 _FAMILIES = {
-    "location": _Family(lambda spec: 1, lambda spec: (spec.T,), _location),
+    "location": _Family(lambda spec: 1, lambda spec: (spec.T,), _location, ("sigma_eps_sq",)),
     "linear_regression": _Family(
-        lambda spec: spec.p, lambda spec: (spec.T * spec.p,), _linear_regression, one_coef=False
+        lambda spec: spec.p, lambda spec: (spec.T * spec.p,), _linear_regression, ("sigma_eps_sq",), one_coef=False
     ),
-    "cointegration": _Family(lambda spec: 1, lambda spec: (spec.T, 2), _cointegration),
+    "cointegration": _Family(lambda spec: 1, lambda spec: (spec.T, 2), _cointegration,
+                             ("sigma_eps_sq", "sigma_u_sq", "sigma_eps_u", "x0")),
     # intercept column plus lagged regressor
-    "predictive_lur": _Family(lambda spec: 2, lambda spec: (spec.T + 1, 2), _predictive_lur, roots=_lur_roots),
+    "predictive_lur": _Family(lambda spec: 2, lambda spec: (spec.T + 1, 2), _predictive_lur, tuple(_DEFAULTS),
+                              roots=_lur_roots),
     # its coefficients are the roots the recursion runs; c, which sets their default, is bounded too
-    "ar1": _Family(lambda spec: 1, lambda spec: (spec.T,), _ar1, roots=lambda spec: {
+    "ar1": _Family(lambda spec: 1, lambda spec: (spec.T,), _ar1, ("sigma_u_sq", "c", "x0"), roots=lambda spec: {
         **_lur_roots(spec), "beta_pre": spec.params_pre[0], "beta_post": spec.params_post[0]}),
 }
 FAMILIES = tuple(_FAMILIES)
@@ -356,7 +370,7 @@ gen_ar1 = _family_generator("ar1")
 
 def spec_to_config(spec):
     """Flatten a DgpSpec into the documented key-value form."""
-    config = {key: attrgetter(name)(spec) for key, name in _CONFIG_FIELDS.items()}
+    config = {key: get(spec) for key, get in _GETTERS.items()}
     return {key: list(value) if isinstance(value, tuple) else value for key, value in config.items()}
 
 

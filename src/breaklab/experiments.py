@@ -43,19 +43,25 @@ PATHS_COLUMNS = ("family", "T", "s", "c", "corr", "stat", "rep", "k", "value")
 
 @dataclass(frozen=True)
 class TableSource:
-    """Where critical values come from: saved files or inline simulation."""
+    """Where critical values come from: saved files or inline simulation; a mode reads only its ``_READS``."""
 
     mode: str
     paths: tuple = ()
     n_reps: int = 20000
     n_steps: int = limit_lab.DEFAULT_N_STEPS
 
+    _READS = {"precomputed": ("paths",), "inline": ("n_reps", "n_steps")}  # unannotated, so not a field
+
     def __post_init__(self):
-        if self.mode not in ("precomputed", "inline"):
+        if self.mode not in tuple(self._READS):  # a tuple: mode may be any JSON value, unhashable too
             raise SpecError(f"table_source mode must be 'precomputed' or 'inline', got {self.mode!r}")
         if self.mode == "precomputed" and not self.paths:
             raise SpecError("precomputed table_source needs at least one table path")
         object.__setattr__(self, "paths", tuple(self.paths))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in ("mode", *self._READS[self.mode]) and value != f.default:
+                raise SpecError(f"table_source mode {self.mode!r} does not read {f.name}, got {jsonable(value)!r}")
 
 
 @dataclass(frozen=True)
@@ -108,12 +114,7 @@ class ExperimentSpec:
 
 def experiment_to_config(spec):
     ts = spec.table_source
-    source = {"mode": ts.mode}
-    if ts.mode == "precomputed":
-        source["paths"] = list(ts.paths)
-    else:
-        source["n_reps"] = ts.n_reps
-        source["n_steps"] = ts.n_steps
+    source = {"mode": ts.mode, **{name: jsonable(getattr(ts, name)) for name in ts._READS[ts.mode]}}
     return {
         "master_seed": spec.master_seed,
         "n_reps": spec.n_reps,

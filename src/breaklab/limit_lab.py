@@ -10,17 +10,18 @@ The functionals simulated here are the null limits of the break statistics:
                          cross-correlation); untrimmed, so ``nu`` is 0
 * ``cvmp1trace``      -- the integrated squared bridge
 
-Each kind is defined once, by its draw shape and parameter rules in
-:func:`check_functional` and its reduction of normals to draws in
-``_reduce``; tabulation, single draws and table loading share both.  Paths
-live on the uniform grid 0, 1/n, ..., 1.  Stochastic integrals are
-discretized as left-endpoint sums.  Tabulation draws are indexed by
-stream id (one stream per draw from the dedicated limit-draw namespace), so
-tables are reproducible and independent of any batching or scheduling.
-Draws come in cache-sized blocks of at most ``_BLOCK_BYTES`` of normals,
-each reduced to its draws while still in cache inside one workspace of two
-budgets allocated once per tabulation.  So memory stays at about three
-budgets, the normals plus the workspace, whatever the number of draws.
+Each kind is defined once, by the parameters it reads (``_READS``), its
+draw shape and parameter rules in :func:`check_functional` and its
+reduction of normals to draws in ``_reduce``; tabulation, single draws and
+table loading share them.  Paths live on the uniform grid 0, 1/n, ..., 1.
+Stochastic integrals are discretized as left-endpoint sums.  Tabulation
+draws are indexed by stream id (one stream per draw from the dedicated
+limit-draw namespace), so tables are reproducible and independent of any
+batching or scheduling.  Draws come in cache-sized blocks of at most
+``_BLOCK_BYTES`` of normals, each reduced to its draws while still in cache
+inside one workspace of two budgets allocated once per tabulation.  So
+memory stays at about three budgets, the normals plus the workspace,
+whatever the number of draws.
 """
 
 import math
@@ -34,7 +35,12 @@ from .errors import DataError, SpecError, TableLookupError
 from .rng import DEFAULT_MASTER_SEED, LIMIT_DRAW_STREAM_OFFSET, limit_draw_stream
 from .schema import SCHEMA_VERSION, finite, jsonable, opened, read_json, typed
 
-FUNCTIONAL_KINDS = ("supabsbb", "supqp", "supabslurcusum", "cvmp1trace")
+#: functional kind -> the parameters besides ``p`` its draws read; any other must keep its default
+_READS = {"supabsbb": ("nu",), "supqp": ("nu",), "supabslurcusum": ("c", "corr"), "cvmp1trace": ()}
+FUNCTIONAL_KINDS = tuple(_READS)
+#: parameter -> its default, and the refusal of another value by a kind that does not read it
+_UNREAD = {"nu": (0.0, "takes no trimming: nu must be 0"), "c": (None, "takes no persistence: c must be unset"),
+           "corr": (None, "takes no correlation: corr must be unset")}
 
 #: default grid resolution for tabulation
 DEFAULT_N_STEPS = 2000
@@ -98,29 +104,31 @@ def type1_quantile(sorted_values, level):
 def check_functional(kind, n_steps, p, nu, c=None, corr=None):
     """Draw shape of ``kind`` and its checked ``(n_steps, p, nu, c, corr)``.
 
-    A :class:`SpecError` names the first parameter that breaks a rule.  A
-    ``corr`` of None reads as 0 for ``supabslurcusum``, the one kind using it.
+    A :class:`SpecError` names the first parameter that breaks a rule, or is
+    not read by ``kind`` and off its default.  A read ``corr`` of None is 0.
     """
-    if kind not in FUNCTIONAL_KINDS:
+    if kind not in FUNCTIONAL_KINDS:  # a tuple: a table's kind may be any JSON value, unhashable too
         raise SpecError(f"unknown functional kind {kind!r}; expected one of {FUNCTIONAL_KINDS}")
     if not 2 <= n_steps <= np.iinfo(np.intp).max:
         raise SpecError(f"n_steps must be at least 2 and fit in a 64-bit array index, got {n_steps}")
     if p < 1:
         raise SpecError(f"dimension p must be >= 1, got {p}")
-    if not (0.0 < nu < 0.5 or nu == 0.0 and kind != "supqp"):
-        raise SpecError(f"{kind} needs trimming nu in {'(0' if kind == 'supqp' else '[0'}, 0.5), got {nu}")
-    if kind == "supabslurcusum":
-        if c is None or not math.isfinite(c):
-            raise SpecError(f"supabslurcusum requires a finite persistence c, got {c}")
-        if nu != 0.0:  # its sup runs over the whole grid
-            raise SpecError(f"supabslurcusum takes no trimming: nu must be 0, got {nu}")
-        corr = 0.0 if corr is None else corr
-    if corr is not None and not -1.0 <= corr <= 1.0:
-        raise SpecError(f"corr must lie in [-1, 1], got {corr}")
-    if kind in ("supabsbb", "supqp"):
+    reads = _READS[kind]
+    for name, value in (("nu", nu), ("c", c), ("corr", corr)):
+        if name not in reads and value != _UNREAD[name][0]:
+            raise SpecError(f"{kind} {_UNREAD[name][1]}, got {value}")
+    if "nu" in reads:
+        if not (0.0 < nu < 0.5 or nu == 0.0 and kind != "supqp"):
+            raise SpecError(f"{kind} needs trimming nu in {'(0' if kind == 'supqp' else '[0'}, 0.5), got {nu}")
         j_lo, j_hi = _window(nu, n_steps)
         if j_lo > j_hi:
             raise SpecError(f"{kind} trimming nu={nu} leaves no interior grid point for n_steps={n_steps}")
+    if "c" in reads and (c is None or not math.isfinite(c)):
+        raise SpecError(f"{kind} requires a finite persistence c, got {c}")
+    if "corr" in reads:
+        corr = 0.0 if corr is None else corr
+        if not -1.0 <= corr <= 1.0:
+            raise SpecError(f"corr must lie in [-1, 1], got {corr}")
     shape = {"supqp": (p, n_steps), "supabslurcusum": (2, n_steps)}.get(kind, (n_steps,))
     return shape, (n_steps, p, nu, c, corr)
 
@@ -304,7 +312,7 @@ def tabulate(
     master_seed : int
         Seed; draw i always uses the limit-draw stream (master_seed, i).
     p, nu, c, corr
-        Functional parameters where applicable.
+        Functional parameters; one the kind does not read keeps its default.
 
     Returns
     -------

@@ -4,6 +4,7 @@ import io
 import json
 import logging
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -535,3 +536,64 @@ def test_table_level_keys_round_trip_to_ten_digits(tmp_path, capfd):
                  "--level", "0.0487659", "--out", str(out)])
     assert code == 0, capfd.readouterr().err
     assert json.loads(out.read_text())["cv"] == load_table(table).quantiles[0.9512341]
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (_EXPERIMENT, "dgp_grid[0]: family 'location' does not read c, got -5.0"),
+        (["simulate", "--family", "ar1", "--T", "50", "--sigma-eps", "4", "--out", "s.csv"],
+         "family 'ar1' does not read sigma_eps_sq, got 4.0"),
+        (["critvals", "--kind", "supabsbb", "--c", "5", "--reps", "1000", "--steps", "50", "--out", "t.json"],
+         "supabsbb takes no persistence: c must be unset, got 5.0"),
+        (["critvals", "--kind", "cvmp1trace", "--nu", "0.3", "--reps", "1000", "--steps", "50", "--out", "t.json"],
+         "cvmp1trace takes no trimming: nu must be 0, got 0.3"),
+        ([*_TEST, "--critvals", "bb.json", "--out", "o.json"],
+         "supabsbb takes no persistence: c must be unset, got 5.0"),
+    ],
+    ids=["grid-location-c", "simulate-ar1-sigma-eps", "critvals-supabsbb-c", "critvals-cvmp1trace-nu",
+         "test-supabsbb-table-c"],
+)
+def test_a_setting_no_draw_reads_exits_2_naming_it_before_any_draw(tmp_path, capfd, monkeypatch, argv, named):
+    # a report, sample or table would otherwise name a value its draws never used
+    from breaklab import limit_lab, rng
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps({**_SPEC, "dgp_grid": [{**_DGP, "c": -5.0}]}))
+    (tmp_path / "bb.json").write_text(json.dumps({**_TABLE, "c": 5.0}))
+    (tmp_path / "d.csv").write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
+    inputs = sorted(p.name for p in tmp_path.iterdir())
+    calls = []
+    for owner, name in ((rng.StreamStack, "normal_rows"), (limit_lab, "tabulate")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name, lambda *args, name=name, real=real, **kwargs: calls.append(name) or real(*args, **kwargs)
+        )
+    assert main(argv) == 2
+    err = capfd.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert calls == (["tabulate"] if argv[0] == "critvals" else [])  # critvals checks its functional there
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs  # no output, sidecar or probe left
+
+
+def test_an_overflowing_simulate_exits_2_without_numpy_warnings(tmp_path, capfd):
+    # the sample is generated under the engine's float policy and refused by its first bad row
+    argv = ["simulate", "--family", "predictive_lur", "--T", "50", "--mu", "1e308", "--beta-pre", "1e308",
+            "--out", str(tmp_path / "s.csv")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "sample row 5 has a non-finite value" in capfd.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("regime", ["pre", "post"])
+def test_mu_and_beta_flags_of_one_regime_are_a_usage_error(tmp_path, capfd, regime):
+    # --mu-pre spells --beta-pre with one number, so giving both is a usage error
+    out = tmp_path / "s.csv"
+    argv = ["simulate", "--family", "location", "--T", "20", "--s", "0.5", f"--mu-{regime}", "1",
+            f"--beta-{regime}", "2", "--out", str(out)]
+    assert main(argv) == 1
+    assert f"not allowed with argument --mu-{regime}" in capfd.readouterr().err
+    assert not out.exists()

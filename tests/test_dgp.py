@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from breaklab import dgp
 from breaklab.dgp import (
+    FAMILIES,
     DgpSpec,
     Sample,
     gen_cointegration,
@@ -58,6 +60,24 @@ def test_no_break_encoding_requires_equal_params():
 def test_rejects_wildly_explosive_root():
     with pytest.raises(SpecError):
         _spec(family="predictive_lur", T=10, persistence_c=6.0)  # root = 1.6
+
+
+#: a value off its default for each setting a family may leave unread
+_OFF_DEFAULT = {"sigma_eps_sq": 2.0, "sigma_u_sq": 2.0, "sigma_eps_u": 0.5, "c": -3.0, "mu": 1.0, "x0": 1.0}
+
+
+@pytest.mark.parametrize("key", sorted(_OFF_DEFAULT))
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_family_reads_exactly_the_settings_it_lists(family, key):
+    # a listed setting moves the sample drawn from a fixed stream; any other is refused by name
+    base = {"family": family, "T": 20}
+    moved = {**base, key: _OFF_DEFAULT[key]}
+    if key in dgp._FAMILIES[family].reads:
+        before, after = (generate(spec_from_config(cfg), _stream()) for cfg in (base, moved))
+        assert not (np.array_equal(before.y, after.y) and np.array_equal(before.X, after.X))
+    else:
+        with pytest.raises(SpecError, match=f"^family '{family}' does not read {key}, got {_OFF_DEFAULT[key]}$"):
+            spec_from_config(moved)
 
 
 def test_generator_rejects_wrong_family():

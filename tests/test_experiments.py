@@ -73,6 +73,24 @@ def test_spec_rejects_empty_grid():
         _small_spec(dgp_grid=())
 
 
+@pytest.mark.parametrize(
+    "source,named",
+    [
+        ({"mode": "inline", "paths": ["no/such/table.json"]},
+         "table_source mode 'inline' does not read paths, got ['no/such/table.json']"),
+        ({"mode": "precomputed", "paths": ["t.json"], "n_reps": 5},
+         "table_source mode 'precomputed' does not read n_reps, got 5"),
+    ],
+    ids=["inline-paths", "precomputed-n-reps"],
+)
+def test_a_table_source_refuses_a_field_its_mode_does_not_read(source, named):
+    cfg = experiment_to_config(_small_spec())
+    cfg["table_source"] = source
+    with pytest.raises(SpecError) as info:
+        experiment_from_config(cfg)
+    assert str(info.value) == named
+
+
 def test_table_source_validation():
     with pytest.raises(SpecError):
         TableSource(mode="nosuch")

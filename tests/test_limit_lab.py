@@ -355,6 +355,25 @@ _DRAW_PARAMS = {
 }
 
 
+#: each kind's parameters at a valid base, and a value off that base for each
+_BASE = {"supabsbb": {}, "supqp": {"nu": 0.15}, "supabslurcusum": {"c": -5.0}, "cvmp1trace": {}}
+_MOVED = {"nu": 0.2, "c": -1.0, "corr": 0.5}
+
+
+@pytest.mark.parametrize("name", sorted(_MOVED))
+@pytest.mark.parametrize("kind", FUNCTIONAL_KINDS)
+def test_a_functional_reads_exactly_the_parameters_it_lists(kind, name):
+    # a listed parameter moves the draws of fixed streams; any other is refused by name
+    base = {"nu": 0.0, "c": None, "corr": None, **_BASE[kind]}
+    moved = {**base, name: _MOVED[name]}
+    if name in limit_lab._READS[kind]:
+        before, after = (_draw_block(kind, 11, 0, 16, 50, 1, **params) for params in (base, moved))
+        assert not np.array_equal(before, after)
+    else:
+        with pytest.raises(SpecError, match=rf"^{kind} takes no \w+: {name} must be \w+, got {_MOVED[name]}$"):
+            _draw_block(kind, 11, 0, 16, 50, 1, **moved)
+
+
 @pytest.mark.parametrize("kind", FUNCTIONAL_KINDS)
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
