@@ -16,13 +16,11 @@ import json
 import logging
 import sys
 
-import numpy as np
-
 from . import break_tests, dgp, experiments, limit_lab
 from .errors import DataError, NumericalError, SpecError
 from .estimators import ols_fit
 from .rng import DEFAULT_MASTER_SEED, SeedSpec, derive_stream
-from .schema import SCHEMA_VERSION, check_writable, jsonable, opened, read_json
+from .schema import SCHEMA_VERSION, check_writable, float_policy, jsonable, opened, read_json
 
 log = logging.getLogger("breaklab")
 
@@ -167,7 +165,7 @@ def cmd_simulate(args):
     cfg = _merged_dgp_config(args)
     spec = dgp.spec_from_config(cfg)
     stream = derive_stream(SeedSpec(args.seed, args.stream))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as in the engine: no warnings
+    with float_policy():
         sample = dgp.generate(spec, stream)
     dgp.sample_to_csv(sample, args.out)
     _write_provenance(
@@ -201,7 +199,8 @@ _TESTS = {
 def cmd_test(args):
     check_writable(args.out, args.path_out)
     sample = dgp.sample_from_csv(args.input)
-    outcome = _TESTS[args.stat](sample, args)
+    with float_policy():
+        outcome = _TESTS[args.stat](sample, args)
     if args.critvals:
         table = limit_lab.load_table(args.critvals)
         outcome = break_tests.decide(outcome, table, args.level)

@@ -25,7 +25,7 @@ from .break_tests import STAT_RECIPES, register_statistic, scan_range  # noqa: F
 from .errors import SpecError, TableLookupError
 from .estimators import ols_fit
 from .rng import DEFAULT_MASTER_SEED, LIMIT_DRAW_STREAM_OFFSET, InnovCov, SeedSpec, replication_stream
-from .schema import SCHEMA_VERSION, jsonable, opened, typed
+from .schema import SCHEMA_VERSION, float_policy, jsonable, opened, typed
 
 log = logging.getLogger(__name__)
 
@@ -190,7 +190,10 @@ def resolve_tables(spec):
 
     Raises :class:`TableLookupError` when a table is missing, when two
     precomputed files cover the same key, or when a table lacks the quantile
-    at ``1 - spec.level``.  Inline keys are all checked before any is drawn.
+    at ``1 - spec.level``.  Inline keys are all checked before any is drawn,
+    and then drawn together (:func:`limit_lab.tabulate_together`): each
+    sub-block's normals are drawn once and every key reduces its prefix of
+    them, so each table is bit for bit the one ``tabulate`` draws alone.
     """
     keys = required_table_keys(spec)
     ts = spec.table_source
@@ -208,21 +211,17 @@ def resolve_tables(spec):
                 found = " and ".join(match[:2]) + " both cover" if match else "no precomputed table covers"
                 raise TableLookupError(f"{found} ({kind}, p={p}, nu={nu:g})")
             tables[key] = loaded[match[0]]
-    else:
+    elif keys:
+        keys = sorted(keys)
         for kind, p, nu in keys:
             limit_lab.check_functional(kind, ts.n_steps, p, nu)
-        for key in sorted(keys):
-            kind, p, nu = key
-            log.info("simulating critical values for (%s, p=%d, nu=%g)", kind, p, nu)
-            tables[key] = limit_lab.tabulate(
-                kind,
-                levels=[1.0 - spec.level],
-                n_reps=ts.n_reps,
-                n_steps=ts.n_steps,
-                master_seed=spec.master_seed,
-                p=p,
-                nu=nu,
-            )
+        for key in keys:
+            log.info("simulating critical values for (%s, p=%d, nu=%g)", *key)
+        drawn = limit_lab.tabulate_together(
+            [(kind, p, nu, None, None) for kind, p, nu in keys], [1.0 - spec.level], ts.n_reps, ts.n_steps,
+            spec.master_seed,
+        )
+        tables = dict(zip(keys, drawn))
     for table in tables.values():  # a missing level fails here, before any replication
         table.lookup(1.0 - spec.level)
     return tables
@@ -292,7 +291,7 @@ def _run_cells(payload):
     specs = [dgp.spec_from_config(cfg) for cfg in dgp_cfgs]
     z = replication_stream(master_seed, range(rep_lo, rep_hi)).normal_rows(dgp.draw_shape(specs[0]))
     z.flags.writeable = False  # shared by every cell of the group
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with float_policy():
         return [_evaluate_stack(dgp.generate(spec, z), rep_lo, stat_items, paths_upto) for spec in specs]
 
 

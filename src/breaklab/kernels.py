@@ -224,9 +224,9 @@ def bridge_in_place(w, tmp=None):
 def bridge_sup(z, j_lo, j_hi, *, work=None):
     """Per-row sup |W(j/n) - (j/n) W(1)| over grid points j in [j_lo, j_hi].
 
-    ``z`` is a (draws, n) array of standard-normal increments.
+    ``z`` is a (draws, n) array of standard-normal increments, of any strides.
     """
-    z = np.ascontiguousarray(z, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
     B, n = z.shape
     w, tmp = carve(work, z.shape, z.shape)
     np.cumsum(z, axis=1, out=w)
@@ -240,11 +240,11 @@ def bridge_sup(z, j_lo, j_hi, *, work=None):
 def qp_sup(z, j_lo, j_hi, *, work=None):
     """Per-row sup of the squared normalized vector bridge over grid points.
 
-    ``z`` is (draws, p, n); the statistic at grid fraction pi = j/n is
-    ||W_p(pi) - pi W_p(1)||^2 / (pi (1 - pi)), maximised over j in
-    [j_lo, j_hi] with 1 <= j_lo <= j_hi <= n - 1.
+    ``z`` is (draws, p, n), of any strides; the statistic at grid fraction
+    pi = j/n is ||W_p(pi) - pi W_p(1)||^2 / (pi (1 - pi)), maximised over j
+    in [j_lo, j_hi] with 1 <= j_lo <= j_hi <= n - 1.
     """
-    z = np.ascontiguousarray(z, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
     j_lo, j_hi = int(j_lo), int(j_hi)
     n = z.shape[-1]
     bb, tmp = carve(work, z.shape, z.shape)

@@ -17,11 +17,15 @@ table loading share them.  Paths live on the uniform grid 0, 1/n, ..., 1.
 Stochastic integrals are discretized as left-endpoint sums.  Tabulation
 draws are indexed by stream id (one stream per draw from the dedicated
 limit-draw namespace), so tables are reproducible and independent of any
-batching or scheduling.  Draws come in cache-sized blocks of at most
-``_BLOCK_BYTES`` of normals, each reduced to its draws while still in cache
-inside one workspace of two budgets allocated once per tabulation.  So
-memory stays at about three budgets, the normals plus the workspace,
-whatever the number of draws.
+batching or scheduling.  Draw i of every kind reads stream i's normals from
+their start, so the draw shape of one kind is a prefix of another's: several
+functionals at one grid (an experiment's inline tables) are drawn together,
+each reducing its prefix of one shared draw, with the same draws as alone.
+Draws come in cache-sized blocks of at most ``_BLOCK_BYTES`` of normals,
+each reduced to its draws while still in cache inside one workspace of two
+budgets allocated once per tabulation.  So memory stays at about three
+budgets, the normals plus the workspace, whatever the number of draws or
+functionals.
 """
 
 import math
@@ -146,8 +150,10 @@ def _workspace(rows, shape):
 def _reduce(kind, z, nu, c, corr, work):
     """One value of ``kind`` per draw in ``z``, a stack of normals of its checked draw shape.
 
-    It owns ``z`` and may overwrite it, and reduces inside ``work``, a :func:`_workspace`.  Kernels
-    are looked up on :mod:`kernels` at each call, so tracing can wrap them; ``work`` goes by keyword.
+    ``z`` may be a strided prefix view of a wider shared draw, so every kind only reads it, except
+    supabslurcusum, which forms its motions in place in ``z`` and so is only given a draw it owns.
+    It reduces inside ``work``, a :func:`_workspace` at least as large as ``z``.  Kernels are
+    looked up on :mod:`kernels` at each call, so tracing can wrap them; ``work`` goes by keyword.
     """
     n_steps = z.shape[-1]
     if kind == "supabsbb":
@@ -275,15 +281,60 @@ def simulate_cvm_p1(n_steps, stream):
 # ---------------------------------------------------------------------------
 
 def _draw_block(kind, master_seed, lo, hi, n_steps, p, nu, c, corr):
-    """Draws lo..hi-1 of ``kind``, in sub-blocks of at most ``_BLOCK_BYTES`` of normals."""
-    shape, (n_steps, p, nu, c, corr) = check_functional(kind, n_steps, p, nu, c, corr)
-    rows = max(1, min(hi - lo, _BLOCK_BYTES // (8 * math.prod(shape))))
-    work = _workspace(rows, shape)  # reused by every sub-block; each one's normals die with its reduction
-    draws = np.empty(hi - lo)
-    for start in range(lo, hi, rows):
-        stack = limit_draw_stream(master_seed, range(start, min(start + rows, hi)))
-        draws[start - lo : start - lo + rows] = _reduce(kind, stack.normal_rows(shape), nu, c, corr, work)
+    """Draws lo..hi-1 of ``kind``: the one-functional case of :func:`_draw_blocks`."""
+    [draws] = _draw_blocks([(kind, p, nu, c, corr)], master_seed, lo, hi, n_steps)
     return draws
+
+
+def _draw_blocks(functionals, master_seed, lo, hi, n_steps):
+    """Draws lo..hi-1 of each functional ``(kind, p, nu, c, corr)``, from one shared draw.
+
+    Each sub-block of at most ``_BLOCK_BYTES`` draws its normals once, at the shape with the
+    most rows, and each functional reduces its prefix of every row, bit for bit its own draw.
+    With several functionals the draw is read-only, so none may overwrite it.
+    """
+    checked = [check_functional(kind, n_steps, p, nu, c, corr) for kind, p, nu, c, corr in functionals]
+    shape = max((own for own, _ in checked), key=math.prod)
+    rows = max(1, min(hi - lo, _BLOCK_BYTES // (8 * math.prod(shape))))
+    work = _workspace(rows, shape)  # reused by every sub-block and functional
+    draws = [np.empty(hi - lo) for _ in functionals]
+    for start in range(lo, hi, rows):
+        z = limit_draw_stream(master_seed, range(start, min(start + rows, hi))).normal_rows(shape)
+        z = z.reshape(len(z), -1)  # row i: stream i's normals, each functional's a prefix of them
+        z.flags.writeable = len(functionals) == 1
+        for out, (kind, *_), (own, (_, _, nu, c, corr)) in zip(draws, functionals, checked):
+            prefix = z[:, : math.prod(own)].reshape(len(z), *own)
+            out[start - lo : start - lo + len(z)] = _reduce(kind, prefix, nu, c, corr, work)
+        del z, prefix  # the normals die before the next sub-block is drawn
+    return draws
+
+
+def tabulate_together(functionals, levels, n_reps, n_steps, master_seed):
+    """A :func:`tabulate` table of each functional ``(kind, p, nu, c, corr)`` at one grid,
+    all drawn from one shared draw (:func:`_draw_blocks`), each bit for bit the table it
+    gets alone.  Only kinds that just read their normals may share a draw: supabslurcusum
+    forms its motions in place, so it is tabulated alone."""
+    if not 1000 <= n_reps <= LIMIT_DRAW_STREAM_OFFSET:  # draw i reads stream 2**63 + i, below 2**64
+        raise SpecError(f"tabulation needs n_reps >= 1000 and <= 2**63, got {n_reps}")
+    levels = [float(lv) for lv in levels]
+    if not levels or any(not 0.0 < lv < 1.0 for lv in levels):
+        raise SpecError(f"quantile levels must lie in (0, 1), got {levels}")
+    checked = [check_functional(kind, n_steps, p, nu, c, corr)[1] for kind, p, nu, c, corr in functionals]
+    tables = []
+    for (kind, *_), (n_steps, p, nu, c, corr), draws in zip(
+        functionals, checked, _draw_blocks(functionals, master_seed, 0, n_reps, n_steps)
+    ):
+        draws.sort()
+        tables.append(CriticalValueTable(
+            functional_kind=kind,
+            p=int(p),
+            nu=float(nu),
+            c=None if c is None else float(c),
+            corr=None if corr is None else float(corr),
+            quantiles={lv: type1_quantile(draws, lv) for lv in sorted(levels)},
+            meta={"n_steps": int(n_steps), "n_reps": int(n_reps), "master_seed": int(master_seed)},
+        ))
+    return tables
 
 
 def tabulate(
@@ -319,25 +370,8 @@ def tabulate(
     CriticalValueTable
         Empirical type-1 quantiles with full provenance in ``meta``.
     """
-    if not 1000 <= n_reps <= LIMIT_DRAW_STREAM_OFFSET:  # draw i reads stream 2**63 + i, below 2**64
-        raise SpecError(f"tabulation needs n_reps >= 1000 and <= 2**63, got {n_reps}")
-    levels = [float(lv) for lv in levels]
-    if not levels or any(not 0.0 < lv < 1.0 for lv in levels):
-        raise SpecError(f"quantile levels must lie in (0, 1), got {levels}")
-    _, (n_steps, p, nu, c, corr) = check_functional(functional_kind, n_steps, p, nu, c, corr)
-
-    draws = _draw_block(functional_kind, master_seed, 0, n_reps, n_steps, p, nu, c, corr)
-    draws.sort()
-    quantiles = {lv: type1_quantile(draws, lv) for lv in sorted(levels)}
-    return CriticalValueTable(
-        functional_kind=functional_kind,
-        p=int(p),
-        nu=float(nu),
-        c=None if c is None else float(c),
-        corr=None if corr is None else float(corr),
-        quantiles=quantiles,
-        meta={"n_steps": int(n_steps), "n_reps": int(n_reps), "master_seed": int(master_seed)},
-    )
+    [table] = tabulate_together([(functional_kind, p, nu, c, corr)], levels, n_reps, n_steps, master_seed)
+    return table
 
 
 # ---------------------------------------------------------------------------

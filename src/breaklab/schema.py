@@ -1,4 +1,4 @@
-"""Output schema versioning, file and JSON helpers and typed config fields."""
+"""Output schema versioning, file and JSON helpers, typed config fields and the float policy."""
 
 import json
 import math
@@ -44,6 +44,13 @@ def finite(value, name, error):
     ``error`` naming ``name``; a range check alone lets NaN through."""
     if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
         raise error(f"{name} must be finite, got {value!r}")
+
+
+def float_policy():
+    """The float policy of every computation on drawn or read data: an overflow,
+    a division by zero or an invalid operation gives inf or NaN, which the
+    computation's own checks count as a failure or refuse, so numpy stays quiet."""
+    return np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 
 @contextmanager

@@ -588,6 +588,18 @@ def test_an_overflowing_simulate_exits_2_without_numpy_warnings(tmp_path, capfd)
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_a_test_whose_squares_overflow_exits_2_without_numpy_warnings(tmp_path, capfd):
+    # the statistic runs under the engine's float policy and is refused by its variance check
+    data = tmp_path / "big.csv"
+    data.write_text("t,y,x1\n" + "".join(f"{t + 1},{(1 + t % 7) * 1e200:.17g},1\n" for t in range(40)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["test", "--stat", "cusumsq", "--input", str(data)]) == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capfd.readouterr().err
+    assert "residual variance" in err and "RuntimeWarning" not in err
+
+
 @pytest.mark.parametrize("regime", ["pre", "post"])
 def test_mu_and_beta_flags_of_one_regime_are_a_usage_error(tmp_path, capfd, regime):
     # --mu-pre spells --beta-pre with one number, so giving both is a usage error

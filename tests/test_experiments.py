@@ -242,6 +242,47 @@ def test_missing_table_level_fails_before_any_stacked_draw(tmp_path, monkeypatch
     assert [stack.stream_ids for stack in drawn] == [range(0, 200)]
 
 
+def _two_design_spec(n_reps, n_steps):
+    # cusum and wald over a p=1 and a p=2 cell: supabsbb p=1, supqp p=1 and supqp p=2
+    cell = DgpSpec(family="predictive_lur", T=60, s=0.0, params_pre=(0.0,), params_post=(0.0,))
+    return _small_spec(dgp_grid=(_location_null(), cell), stat_kinds=("cusum", "wald"),
+                       table_source=TableSource(mode="inline", n_reps=n_reps, n_steps=n_steps))
+
+
+def test_inline_tables_are_drawn_once_at_the_widest_shape(monkeypatch):
+    from breaklab import limit_lab, rng
+
+    spec = _two_design_spec(1500, 200)
+    alone = {key: tabulate(key[0], [0.95], 1500, n_steps=200, master_seed=11, p=key[1], nu=key[2])
+             for key in required_table_keys(spec)}
+    drawn = []
+    real_normal_rows = rng.StreamStack.normal_rows
+    monkeypatch.setattr(
+        rng.StreamStack, "normal_rows",
+        lambda self, *args, **kwargs: drawn.append((args, kwargs)) or real_normal_rows(self, *args, **kwargs),
+    )
+    monkeypatch.setattr(limit_lab, "_BLOCK_BYTES", 8 * 2 * 200 * 400)  # 400 draws of the widest shape
+    assert resolve_tables(spec) == alone
+    assert drawn == [(((2, 200),), {})] * 4  # ceil(1500 / 400), each shared by the three keys
+
+
+def test_inline_table_memory_is_bounded_by_the_block_budget():
+    # the shared draw and its workspace hold three budgets at the widest shape,
+    # whatever the number of keys; half a budget covers the draws and the rest
+    import tracemalloc
+
+    from breaklab import limit_lab
+
+    spec = _two_design_spec(4096, 2000)
+    tracemalloc.start()
+    try:
+        resolve_tables(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * limit_lab._BLOCK_BYTES
+
+
 @pytest.mark.parametrize("paths", ["t.json", [1], {"a": "t.json"}])
 def test_table_source_paths_must_be_a_list_of_strings(paths):
     cfg = experiment_to_config(_small_spec())

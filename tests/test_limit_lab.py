@@ -19,6 +19,7 @@ from breaklab.limit_lab import (
     _coint_t_from_draws,
     _cvm_from_increments,
     _draw_block,
+    _draw_blocks,
     load_table,
     save_table,
     simulate_bridge,
@@ -390,6 +391,38 @@ def test_draw_block_does_not_depend_on_the_sub_block_budget(kind, lo, size, n_st
     for budget in (1, rows * row_bytes):  # one draw per sub-block, then `rows` draws
         with mock.patch.object(limit_lab, "_BLOCK_BYTES", budget):
             assert _draw_block(*args).tobytes() == default.tobytes()
+
+
+#: functionals that only read their normals, so they may share a draw: (kind, p, nu, c, corr)
+_SHAREABLE = st.one_of(
+    st.tuples(st.just("supabsbb"), st.just(1), st.sampled_from([0.0, 0.1, 0.15]), st.none(), st.none()),
+    st.tuples(st.just("supqp"), st.integers(1, 3), st.sampled_from([0.1, 0.15, 0.3]), st.none(), st.none()),
+    st.tuples(st.just("cvmp1trace"), st.just(1), st.just(0.0), st.none(), st.none()),
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    functionals=st.lists(_SHAREABLE, min_size=2, max_size=5),
+    lo=st.integers(0, 300),
+    size=st.integers(1, 40),
+    n_steps=st.integers(10, 300),
+    budget=st.one_of(st.just(limit_lab._BLOCK_BYTES), st.integers(1, 8 * 3 * 300 * 9)),
+)
+def test_a_shared_draw_gives_each_functional_its_own_draws(functionals, lo, size, n_steps, budget):
+    # draw i of every kind reads stream i from its start, so each functional's
+    # normals are a prefix of the widest one's: sharing changes no bit
+    alone = [_draw_block(kind, 11, lo, lo + size, n_steps, *params) for kind, *params in functionals]
+    with mock.patch.object(limit_lab, "_BLOCK_BYTES", budget):
+        shared = _draw_blocks(functionals, 11, lo, lo + size, n_steps)
+    assert [d.tobytes() for d in shared] == [d.tobytes() for d in alone]
+
+
+def test_a_shared_draw_is_read_only():
+    # supabslurcusum forms its motions in its normals, so it may only reduce a draw it owns
+    lur, bridge = ("supabslurcusum", 1, 0.0, -5.0, 0.0), ("supabsbb", 1, 0.0, None, None)
+    with pytest.raises(ValueError, match="read-only"):
+        _draw_blocks([lur, bridge], 11, 0, 4, 50)
 
 
 def test_tabulation_memory_is_bounded_by_the_block_budget():
