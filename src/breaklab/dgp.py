@@ -12,7 +12,9 @@ hi))``), or the normals such a stack has drawn, returns the stacked samples
 of those replications; given one stream, it builds the block of one, so a
 row of the stack and the sample generated from that replication's own
 stream are the same bit for bit.  The normals depend on the spec only
-through :func:`draw_shape`, so specs of one shape can share one draw.
+through :func:`draw_shape`, so specs of one shape can share one draw; a
+family built from (eps, u) pairs reads them only through their transform
+at :func:`pair_cov`, which specs of one covariance can share too.
 
 Sign convention for persistence: the autoregressive root is
 ``rho = 1 + c/T`` with ``c <= 0`` meaning near-stationary and ``c = 0`` the
@@ -238,20 +240,19 @@ def _linear_regression(spec, z):
     return y, X, {"eps": eps}
 
 
-def _cointegration(spec, z):
+def _cointegration(spec, pairs):
     """Integrated-regressor pair: x is a random walk driven by eps, y = b*x + u.
 
     The (eps, u) pairs are drawn jointly with covariance ``spec.cov``; the
     cross-covariance is what makes the regressor endogenous.
     """
-    pairs = gaussian_pairs(z, spec.cov)
     eps, u = pairs[..., 0], pairs[..., 1]
     x = kernels.ar1_path(eps, 1.0, spec.x0)
     y = _regime_coefs(spec)[:, 0] * x + u
     return y, x[..., None], {"eps": eps, "u": u}
 
 
-def _predictive_lur(spec, z):
+def _predictive_lur(spec, pairs):
     """Predictive regression with a local-to-unity regressor.
 
     The regressor evolves as x_t = rho x_{t-1} + u_t with rho = 1 + c/T, and
@@ -261,10 +262,9 @@ def _predictive_lur(spec, z):
     """
     T = spec.T
     rho = _local_root(spec.persistence_c, T)
-    pairs = gaussian_pairs(z, spec.cov)
     eps, u = pairs[:, 1:, 0], pairs[:, 1:, 1]
     x = kernels.ar1_path(u, rho, spec.x0)
-    X = np.ones((z.shape[0], T, 2))
+    X = np.ones((pairs.shape[0], T, 2))
     X[:, 0, 1] = spec.x0
     X[:, 1:, 1] = x[:, :-1]
     y = spec.intercept + _regime_coefs(spec)[:, 0] * X[..., 1] + eps
@@ -297,6 +297,7 @@ class _Family:
     draw_shape: object  # spec -> shape of one replication's standard normals
     build: object  # (spec, z) -> (y, X, innovations) stacks
     reads: tuple  # the keys of ``_DEFAULTS`` build reads; any other must keep its default
+    pairs: bool = False  # build reads gaussian_pairs(z, spec.cov) in place of z
     one_coef: bool = True  # takes exactly one regime coefficient
     roots: object = lambda spec: {}  # spec -> {config key: autoregressive root it sets}, each |root| <= 1.5
 
@@ -307,10 +308,10 @@ _FAMILIES = {
         lambda spec: spec.p, lambda spec: (spec.T * spec.p,), _linear_regression, ("sigma_eps_sq",), one_coef=False
     ),
     "cointegration": _Family(lambda spec: 1, lambda spec: (spec.T, 2), _cointegration,
-                             ("sigma_eps_sq", "sigma_u_sq", "sigma_eps_u", "x0")),
+                             ("sigma_eps_sq", "sigma_u_sq", "sigma_eps_u", "x0"), pairs=True),
     # intercept column plus lagged regressor
     "predictive_lur": _Family(lambda spec: 2, lambda spec: (spec.T + 1, 2), _predictive_lur, tuple(_DEFAULTS),
-                              roots=_lur_roots),
+                              pairs=True, roots=_lur_roots),
     # its coefficients are the roots the recursion runs; c, which sets their default, is bounded too
     "ar1": _Family(lambda spec: 1, lambda spec: (spec.T,), _ar1, ("sigma_u_sq", "c", "x0"), roots=lambda spec: {
         **_lur_roots(spec), "beta_pre": spec.params_pre[0], "beta_post": spec.params_post[0]}),
@@ -318,8 +319,11 @@ _FAMILIES = {
 FAMILIES = tuple(_FAMILIES)
 
 
-def _stack(spec, z):
-    y, X, innovations = _FAMILIES[spec.family].build(spec, z)
+def _stack(spec, z, pairs=None):
+    family = _FAMILIES[spec.family]
+    if family.pairs and pairs is None:
+        pairs = gaussian_pairs(z, spec.cov)
+    y, X, innovations = family.build(spec, pairs if family.pairs else z)
     return SampleStack(y=y, X=X, truth=spec, innovations=innovations)
 
 
@@ -328,19 +332,28 @@ def draw_shape(spec):
     return _FAMILIES[spec.family].draw_shape(spec)
 
 
+def pair_cov(spec):
+    """The covariance whose pair transform of the normals ``spec`` builds
+    from, or None when it builds from the normals themselves."""
+    return spec.cov if _FAMILIES[spec.family].pairs else None
+
+
 def generate(spec, stream):
     """Generate one sample from ``spec`` using the given random stream.
 
     ``stream`` may instead be a :class:`~breaklab.rng.StreamStack`, or the
-    (R, *draw_shape(spec)) normals such a stack drew, which are only read;
+    (R, *draw_shape(spec)) normals ``z`` such a stack drew, which are only
+    read, or ``(z, gaussian_pairs(z, pair_cov(spec)))``, whose transform a
+    family that builds from it reads in place of transforming ``z`` again;
     the result is then the :class:`SampleStack` of those streams, generated
     at once, whose row i equals the sample generated from stream i alone.
     """
     shape = draw_shape(spec)
-    if isinstance(stream, np.ndarray):
-        if stream.shape[1:] != shape:
-            raise DataError(f"{spec.family} draws normals of shape (R, *{shape}), got {stream.shape}")
-        return _stack(spec, stream)
+    if isinstance(stream, (np.ndarray, tuple)):
+        z, pairs = stream if isinstance(stream, tuple) else (stream, None)
+        if z.shape[1:] != shape:
+            raise DataError(f"{spec.family} draws normals of shape (R, *{shape}), got {z.shape}")
+        return _stack(spec, z, pairs)
     if isinstance(stream, StreamStack):
         return _stack(spec, stream.normal_rows(shape))
     return _stack(spec, stream.standard_normal(shape)[None]).sample(0)

@@ -11,8 +11,9 @@ enough to keep every worker busy, and one payload is one stack of one group;
 all payloads go through one map, over a process pool when ``workers > 1``,
 so no worker waits at a cell boundary.  Results are then aggregated, logged
 and reported per cell in grid order.  A payload's replications are generated
-together and evaluated together: each cell's stack gets one pooled fit, and
-each statistic is evaluated once on the stacked fits.
+together and evaluated together: the cells of one covariance share one pair
+transform of the normals, each cell's stack gets one pooled fit, and each
+statistic is evaluated once on the stacked fits.
 """
 
 import logging
@@ -24,7 +25,7 @@ from . import dgp, limit_lab
 from .break_tests import STAT_RECIPES, register_statistic, scan_range  # noqa: F401  (re-exported)
 from .errors import SpecError, TableLookupError
 from .estimators import ols_fit
-from .rng import DEFAULT_MASTER_SEED, LIMIT_DRAW_STREAM_OFFSET, InnovCov, SeedSpec, replication_stream
+from .rng import DEFAULT_MASTER_SEED, LIMIT_DRAW_STREAM_OFFSET, InnovCov, SeedSpec, gaussian_pairs, replication_stream
 from .schema import SCHEMA_VERSION, float_policy, jsonable, opened, typed
 
 log = logging.getLogger(__name__)
@@ -274,25 +275,38 @@ def _evaluate_stack(stack, rep_lo, stat_items, paths_upto):
 
 def _run_cells(payload):
     """One payload: replications [rep_lo, rep_hi) of every cell in a group
-    that shares one draw shape; one ``(sups, paths, skipped)`` per cell, as
-    :func:`_run_chunk` describes.
+    that shares one draw shape; one ``(sups, paths, skipped)`` per cell, in
+    the group's order, as :func:`_run_chunk` describes.
 
     Module-level so it can cross a process boundary.  The payload is one
     generation stack (:func:`run_experiment` sizes it by :func:`stack_size`):
-    its normals are drawn once, read-only, and every cell is generated and
-    evaluated from them in turn, its stack released before the next cell's
-    is generated.  A replication's results depend on its own stream alone,
-    never on the group or payload it landed in.  A replication may overflow
-    or divide by zero in its generation, fit or statistics; its row then has
-    no estimate and is counted as failed, so all of them run with those
-    warnings off.
+    its normals are drawn once, read-only, and the cells are generated one
+    covariance at a time (:func:`~breaklab.dgp.pair_cov`): every cell of a
+    covariance builds from one read-only pair transform of the normals,
+    released before the next covariance's is computed, and each cell is
+    generated and evaluated in turn, its stack released before the next
+    cell's is generated.  A replication's results depend on its own stream
+    alone, never on the group or payload it landed in.  A replication may
+    overflow or divide by zero in its generation, fit or statistics; its row
+    then has no estimate and is counted as failed, so all of them run with
+    those warnings off.
     """
     dgp_cfgs, stat_items, master_seed, rep_lo, rep_hi, paths_upto = payload
     specs = [dgp.spec_from_config(cfg) for cfg in dgp_cfgs]
     z = replication_stream(master_seed, range(rep_lo, rep_hi)).normal_rows(dgp.draw_shape(specs[0]))
     z.flags.writeable = False  # shared by every cell of the group
+    by_cov, results = {}, [None] * len(specs)  # cells by pair covariance; None: they read z itself
+    for cell, spec in enumerate(specs):
+        by_cov.setdefault(dgp.pair_cov(spec), []).append(cell)
     with float_policy():
-        return [_evaluate_stack(dgp.generate(spec, z), rep_lo, stat_items, paths_upto) for spec in specs]
+        for cov, cells in by_cov.items():
+            draw = z if cov is None else (z, gaussian_pairs(z, cov))
+            if cov is not None:
+                draw[1].flags.writeable = False  # shared by every cell of the covariance
+            for cell in cells:
+                results[cell] = _evaluate_stack(dgp.generate(specs[cell], draw), rep_lo, stat_items, paths_upto)
+            del draw  # one transform alive at a time
+    return results
 
 
 def _run_chunk(payload):

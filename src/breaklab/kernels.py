@@ -67,41 +67,44 @@ def ldl(a, pivot_floor):
     p = a.shape[0]
     lower = {}
     diag = np.empty(a.shape[1:])
-    bad = np.full(a.shape[2:], p)
+    failed = []
     for i in range(p):
-        s = a[i, i]
+        pivot = diag[i, ...]  # a view even of one matrix's pivots
+        np.copyto(pivot, a[i, i])
         for k in range(i):
-            s = s - lower[i, k] * lower[i, k] * diag[k]
-        failed = s <= pivot_floor
-        bad[failed & (bad == p)] = i
-        s = np.where(failed, 1.0, s)
-        diag[i] = s
+            pivot -= lower[i, k] * lower[i, k] * diag[k]
+        failed.append(pivot <= pivot_floor)
+        np.copyto(pivot, 1.0, where=failed[i])
         for j in range(i + 1, p):
             s2 = a[j, i]
             for k in range(i):
                 s2 = s2 - lower[j, k] * lower[i, k] * diag[k]
-            lower[j, i] = s2 / s
+            lower[j, i] = s2 / pivot
+    bad = np.full(a.shape[2:], p)
+    for i in range(p - 1, -1, -1):  # the first failed column is written last
+        np.copyto(bad, i, where=failed[i])
     return lower, diag, bad
 
 
 def _forward(lower, rhs):
-    """Solve L z = rhs for the unit lower ``L`` of :func:`ldl`; ``rhs`` has shape (p, ...)."""
-    out = np.empty_like(rhs)
+    """The solution z_0, z_1, ... of L z = rhs for the unit lower ``L`` of
+    :func:`ldl`, as a list; ``rhs`` has shape (p, ...) and z_0 is ``rhs[0]``."""
+    z = []
     for i in range(rhs.shape[0]):
         s = rhs[i]
         for k in range(i):
-            s = s - lower[i, k] * out[k]
-        out[i] = s
-    return out
+            s = s - lower[i, k] * z[k]
+        z.append(s)
+    return z
 
 
 def ldl_solve(lower, diag, rhs):
     """Solve (L D L') x = rhs for every stacked system."""
     p = rhs.shape[0]
-    out = _forward(lower, rhs) / diag
+    z = _forward(lower, rhs)
     back = np.empty_like(rhs)
     for i in range(p - 1, -1, -1):
-        s = out[i]
+        s = z[i] / diag[i]
         for k in range(i + 1, p):
             s = s - lower[k, i] * back[k]
         back[i] = s
@@ -111,9 +114,10 @@ def ldl_solve(lower, diag, rhs):
 def _inverse_quadratic(lower, diag, v):
     """v' (L D L')^-1 v by forward substitution alone."""
     z = _forward(lower, v)
-    quad = z[0] * z[0] / diag[0]
-    for i in range(1, v.shape[0]):
-        quad += z[i] * z[i] / diag[i]
+    quad, term = z[0] * z[0] / diag[0], None
+    for i in range(1, len(z)):  # in place, in the order (z_i * z_i) / d_i then the sum
+        term = np.divide(np.multiply(z[i], z[i], out=term), diag[i], out=term)
+        quad += term
     return quad
 
 

@@ -91,6 +91,35 @@ def test_ldl_matches_scalar_recursion(p):
         assert bad[1, 2] == p - 1 and bad[2, 3] == 1
 
 
+def test_ldl_contract_on_nan_inf_and_floor_pivots():
+    # a NaN pivot is kept (it is not at or below the floor), an infinite
+    # entry runs through, and a pivot exactly at the floor fails; the stack
+    # and each single matrix must give the scalar recursion's bits
+    ordinary = [[4.0, 0.0, 0.0], [2.0, 3.0, 0.0], [1.0, 0.5, 2.0]]
+    cases = [  # (lower triangle of the Gram matrix, pivot floor)
+        (ordinary, 1e-9),
+        ([[4.0, 0.0, 0.0], [2.0, 3.0, 0.0], [1.0, np.nan, 2.0]], 1e-9),
+        ([[4.0, 0.0, 0.0], [np.inf, 3.0, 0.0], [1.0, 0.5, 2.0]], 1e-9),
+        ([[np.inf, 0.0, 0.0], [2.0, 3.0, 0.0], [1.0, 0.5, np.nan]], 1e-9),
+        ([[4.0, 0.0, 0.0], [2.0, 1.5, 0.0], [1.0, 0.3, 2.0]], 0.5),  # pivot 1 is 1.5 - 0.5**2 * 4 = 0.5
+        ([[0.5, 0.0, 0.0], [2.0, 3.0, 0.0], [1.0, 0.5, np.inf]], 0.5),  # pivot 0 at the floor
+    ]
+    gram = np.stack([np.array(a) for a, _ in cases], axis=-1)
+    floor = np.array([f for _, f in cases])
+
+    def bits(lower, diag, bad):
+        return {key: float(v).hex() for key, v in lower.items()}, [float(d).hex() for d in diag], int(bad)
+
+    with np.errstate(all="ignore"):
+        lower, diag, bad = ldl(gram, floor)
+        for idx, (a, f) in enumerate(cases):
+            want = bits(*_scalar_ldl(a, f))
+            assert bits({key: v[idx] for key, v in lower.items()}, diag[:, idx], bad[idx]) == want, idx
+            assert bits(*ldl(gram[..., idx], floor[idx])) == want, idx
+    assert bad.tolist() == [3, 3, 1, 3, 1, 0]
+    assert np.isnan(diag[2, 1]) and np.isnan(diag[2, 3])
+
+
 # ---------------------------------------------------------------------------
 # wald_scan
 # ---------------------------------------------------------------------------

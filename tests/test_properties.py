@@ -1,6 +1,7 @@
 """Property tests: block evaluation, per-sample parity, the Wald identity and
 the invariances every statistic path must have."""
 
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from breaklab import break_tests, experiments, kernels
+from breaklab import break_tests, dgp, experiments, kernels
 from breaklab.dgp import Sample, draw_shape, generate, spec_from_config, spec_to_config
 from breaklab.errors import BreakLabError
 from breaklab.estimators import fit_xy, ols_fit
@@ -149,6 +150,55 @@ def test_grouped_cells_equal_lone_cells(group, seed, small_stacks, paths_upto):
             assert np.array_equal(path_a, path_b, equal_nan=True)
     if group == "explosive":
         assert grouped[0][2][experiments.RANK_DEFICIENT] == n
+
+
+#: a (41, 2) draw group in c-major order, as size_distortion_study builds it, so
+#: covariances interleave; the cointegration cell at T=41 shares sigma_eps_u with
+#: the predictive_lur cells at T=40 and corr -0.5
+C_MAJOR = [
+    {"family": "predictive_lur", "T": 40, "c": c, "sigma_eps_u": corr} for c in (0.0, -5.0) for corr in (0.0, -0.5)
+] + [{"family": "cointegration", "T": 41, "sigma_eps_u": -0.5}]
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), paths_upto=st.integers(0, 6))
+def test_cells_generated_by_covariance_equal_lone_cells(seed, paths_upto):
+    # cells come back in grid order, though they are generated one covariance at a time
+    cfgs = [spec_to_config(spec_from_config(cfg)) for cfg in C_MAJOR]
+    grouped = _run_cells((cfgs, list(STATS), seed, 1, 9, paths_upto))
+    assert len(grouped) == len(cfgs)
+    for cfg, (sups, paths, skipped) in zip(cfgs, grouped):
+        _, want_sups, want_paths, want_skipped = _run_chunk((cfg, list(STATS), seed, 1, 9, paths_upto))
+        for kind, _ in STATS:
+            assert np.array_equal(sups[kind], want_sups[kind], equal_nan=True), (cfg, kind)
+        assert skipped == want_skipped
+        assert [(rep, kind) for rep, kind, _, _ in paths] == [(rep, kind) for rep, kind, _, _ in want_paths]
+        for (_, _, ks_a, path_a), (_, _, ks_b, path_b) in zip(paths, want_paths):
+            assert np.array_equal(ks_a, ks_b)
+            assert np.array_equal(path_a, path_b, equal_nan=True)
+
+
+def test_one_stack_and_one_pair_transform_alive_at_a_time(monkeypatch):
+    # each cell's stack dies before the next is generated, each covariance's
+    # transform before the next is made, and each covariance gets one transform
+    stacks, transforms = [], []
+
+    def spy(store, fn):
+        def wrapped(*args):
+            assert all(ref() is None for ref in store), "a previous one is still alive"
+            out = fn(*args)
+            store.append(weakref.ref(out))
+            return out
+
+        return wrapped
+
+    monkeypatch.setattr(experiments.dgp, "generate", spy(stacks, experiments.dgp.generate))
+    monkeypatch.setattr(experiments, "gaussian_pairs", spy(transforms, experiments.gaussian_pairs))
+    monkeypatch.setattr(dgp, "gaussian_pairs", spy(transforms, dgp.gaussian_pairs))
+    cfgs = [spec_to_config(spec_from_config(cfg)) for cfg in C_MAJOR]
+    _run_cells((cfgs, list(STATS), 7, 0, 6, 2))
+    assert len(stacks) == len(C_MAJOR) and len(transforms) == 2
+    assert all(ref() is None for ref in stacks + transforms)
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
