@@ -32,7 +32,7 @@ import numpy as np
 from . import kernels
 from .errors import DataError, SpecError
 from .rng import InnovCov, StreamStack, gaussian_pairs
-from .schema import finite, opened, typed
+from .schema import finite, json_object, opened, typed
 
 #: config key -> the :class:`DgpSpec` field it sets (``cov.*``: an :class:`InnovCov`
 #: field), in the order :func:`spec_to_config` writes them
@@ -88,7 +88,7 @@ class DgpSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise SpecError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if not (isinstance(self.T, (int, np.integer)) and 4 <= self.T <= np.iinfo(np.intp).max):
+        if not 4 <= typed(int, self.T, "T", SpecError) <= np.iinfo(np.intp).max:
             raise SpecError(f"T must be an integer >= 4 that fits in a 64-bit array index, got {self.T!r}")
         if not 0.0 <= self.s <= 1.0:
             raise SpecError(f"break fraction s must lie in [0, 1], got {self.s}")
@@ -404,18 +404,8 @@ def spec_from_config(cfg):
     ``ar1`` family the regime coefficients may be omitted, in which case
     both default to the root ``1 + c/T``.
     """
-    if not isinstance(cfg, dict):
-        raise SpecError(f"DGP config must be a JSON object, got {cfg!r}")
-    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
-    if unknown:
-        raise SpecError(f"unknown config key(s): {', '.join(unknown)}")
-    for key in ("family", "T"):
-        if key not in cfg:
-            raise SpecError(f"config is missing required key {key!r}")
-    T = cfg["T"]
-    if not isinstance(T, (int, np.integer)):
-        raise SpecError(f"config key 'T' must be an integer, got {T!r}")
-    kwargs, cov = {"family": cfg["family"], "T": int(T)}, {}
+    json_object(cfg, "DGP config", SpecError, CONFIG_KEYS, ("family", "T"))
+    kwargs, cov = {"family": cfg["family"], "T": typed(int, cfg["T"], "config key 'T'", SpecError)}, {}
     for key in CONFIG_KEYS:  # only the keys given: every default is the dataclass's
         if key in ("family", "T") or key not in cfg:
             continue

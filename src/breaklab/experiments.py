@@ -26,7 +26,7 @@ from .break_tests import STAT_RECIPES, register_statistic, scan_range  # noqa: F
 from .errors import SpecError, TableLookupError
 from .estimators import ols_fit
 from .rng import DEFAULT_MASTER_SEED, LIMIT_DRAW_STREAM_OFFSET, InnovCov, SeedSpec, gaussian_pairs, replication_stream
-from .schema import SCHEMA_VERSION, float_policy, jsonable, opened, typed
+from .schema import SCHEMA_VERSION, float_policy, json_object, jsonable, opened, typed
 
 log = logging.getLogger(__name__)
 
@@ -115,16 +115,11 @@ class ExperimentSpec:
 
 def experiment_to_config(spec):
     ts = spec.table_source
-    source = {"mode": ts.mode, **{name: jsonable(getattr(ts, name)) for name in ts._READS[ts.mode]}}
-    return {
-        "master_seed": spec.master_seed,
-        "n_reps": spec.n_reps,
-        "level": spec.level,
-        "nu": spec.nu,
-        "stat_kinds": list(spec.stat_kinds),
-        "table_source": source,
+    given = {
         "dgp_grid": [dgp.spec_to_config(d) for d in spec.dgp_grid],
+        "table_source": {"mode": ts.mode, **{name: getattr(ts, name) for name in ts._READS[ts.mode]}},
     }
+    return {f.name: jsonable(given.get(f.name, getattr(spec, f.name))) for f in fields(spec)}
 
 
 def _from_config(cls, cfg, where, **nested):
@@ -132,23 +127,17 @@ def _from_config(cls, cfg, where, **nested):
     without a default must be given.  A value is read by its field's type (a number, a
     list of strings for a tuple, a string as it is, None where that is the default, an
     object for a dataclass), or by ``nested[name](value, label)``."""
-    unknown = sorted(set(cfg) - {f.name for f in fields(cls)})
-    if unknown:
-        raise SpecError(f"unknown {where} key(s): {', '.join(unknown)}")
+    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+    json_object(cfg, where, SpecError, [f.name for f in fields(cls)], required)
     kwargs = {}
     for f in fields(cls):
-        label = f"{where} key {f.name!r}"
         if f.name not in cfg:
-            if f.default is MISSING and f.default_factory is MISSING:
-                raise SpecError(f"{where} is missing required key {f.name!r}")
             continue
-        value = cfg[f.name]
+        label, value = f"{where} key {f.name!r}", cfg[f.name]
         if f.name in nested:
             value = nested[f.name](value, label)
         elif is_dataclass(f.type):
-            if not isinstance(value, dict):
-                raise SpecError(f"{label} must be an object, got {value!r}")
-            value = _from_config(f.type, value, f.name)
+            value = _from_config(f.type, json_object(value, label, SpecError), f.name)
         elif f.type is tuple:
             if not (isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)):
                 raise SpecError(f"{label} must be a list of strings, got {value!r}")
@@ -171,8 +160,6 @@ def _grid_from_config(cells, label):
 
 
 def experiment_from_config(cfg):
-    if not isinstance(cfg, dict):
-        raise SpecError(f"experiment config must be a JSON object, got {type(cfg).__name__}")
     return _from_config(ExperimentSpec, cfg, "experiment config", dgp_grid=_grid_from_config)
 
 
@@ -214,15 +201,13 @@ def resolve_tables(spec):
             tables[key] = loaded[match[0]]
     elif keys:
         keys = sorted(keys)
-        for kind, p, nu in keys:
-            limit_lab.check_functional(kind, ts.n_steps, p, nu)
-        for key in keys:
-            log.info("simulating critical values for (%s, p=%d, nu=%g)", *key)
-        drawn = limit_lab.tabulate_together(
+        drawn = limit_lab.tabulate_together(  # checks every key before it draws any
             [(kind, p, nu, None, None) for kind, p, nu in keys], [1.0 - spec.level], ts.n_reps, ts.n_steps,
             spec.master_seed,
         )
         tables = dict(zip(keys, drawn))
+        for key in keys:
+            log.info("simulated critical values for (%s, p=%d, nu=%g)", *key)
     for table in tables.values():  # a missing level fails here, before any replication
         table.lookup(1.0 - spec.level)
     return tables
@@ -456,7 +441,7 @@ def run_experiment(spec, workers=1, paths_sample=0):
     # in any output, so reruns are byte-identical at any parallelism
     provenance = {
         "schema_version": SCHEMA_VERSION,
-        "experiment": jsonable(experiment_to_config(spec)),
+        "experiment": experiment_to_config(spec),
         "tables": {
             f"{k[0]},p={k[1]},nu={k[2]:g}": limit_lab.table_to_json_dict(t)
             for k, t in sorted(tables.items())

@@ -261,9 +261,10 @@ def qp_sup(z, j_lo, j_hi, *, work=None):
     return q.max(axis=1)
 
 
-def _lur_drive_coeffs(c, dt):
-    # one-step decay of the mean-reverting limit process plus the shock
-    # scaling that keeps its marginal variance exact on the grid
+def ou_step(c, dt):
+    """(decay, lam) of the exact one-step rule of the mean-reverting process
+    dJ = c J dt + dW: J moves to ``decay * J + lam * dW`` over a step of ``dt``,
+    where ``lam`` scales a N(0, dt) shock to the exact conditional variance."""
     decay = np.exp(c * dt)
     if c == 0.0:
         lam = 1.0
@@ -284,7 +285,7 @@ def lur_cusum_sup(dbe, dbu, c, *, work=None):
     dbu = np.asarray(dbu, dtype=np.float64)
     B, n = dbe.shape
     dt = 1.0 / n
-    decay, lam = _lur_drive_coeffs(float(c), dt)
+    decay, lam = ou_step(float(c), dt)
     (j_prev, correction), (path, tmp) = carve(work, (2, *dbe.shape), (2, *dbe.shape))
     j_prev[:, 0] = 0.0
     ar1_path(np.multiply(lam, dbu[:, :-1], out=j_prev[:, 1:]), decay, out=j_prev[:, 1:])

@@ -37,7 +37,7 @@ import numpy as np
 from . import kernels
 from .errors import DataError, SpecError, TableLookupError
 from .rng import DEFAULT_MASTER_SEED, LIMIT_DRAW_STREAM_OFFSET, limit_draw_stream
-from .schema import SCHEMA_VERSION, finite, jsonable, opened, read_json, typed
+from .schema import SCHEMA_VERSION, finite, json_object, jsonable, opened, read_json, typed
 
 #: functional kind -> the parameters besides ``p`` its draws read; any other must keep its default
 _READS = {"supabsbb": ("nu",), "supqp": ("nu",), "supabslurcusum": ("c", "corr"), "cvmp1trace": ()}
@@ -200,18 +200,17 @@ def simulate_qp_sup(p, nu, n_steps, stream):
 def simulate_ou(c, n_steps, stream, x0=0.0, horizon=1.0):
     """Mean-reverting Gaussian path by exact one-step discretization.
 
-    Each step applies the decay exp(c * dt) and adds a Gaussian shock with
-    the exact conditional variance (exp(2 c dt) - 1) / (2 c), which
-    degenerates to dt at c = 0.  Composing two half-horizon calls on a
+    Each step is :func:`kernels.ou_step`'s: the decay exp(c * dt) and a
+    Gaussian shock with the exact conditional variance (exp(2 c dt) - 1) / (2 c),
+    which degenerates to dt at c = 0.  Composing two half-horizon calls on a
     shared stream is bit-identical to one full-horizon call.
     """
     finite(c, "persistence c", SpecError)
     if n_steps < 1:
         raise SpecError(f"n_steps must be >= 1, got {n_steps}")
     dt = horizon / n_steps
-    decay = math.exp(c * dt)
-    var = dt if c == 0.0 else (math.exp(2.0 * c * dt) - 1.0) / (2.0 * c)
-    shocks = math.sqrt(var) * stream.standard_normal(n_steps)
+    decay, lam = kernels.ou_step(c, dt)
+    shocks = lam * math.sqrt(dt) * stream.standard_normal(n_steps)
     path = kernels.ar1_path(shocks, decay, x0)
     return PathGrid(n_steps=n_steps, values=np.concatenate([[x0], path]))
 
@@ -395,37 +394,42 @@ def table_to_json_dict(table):
     }
 
 
+#: a table's keys and the ones it must give; ``schema_version`` is written, never read
+_TABLE_KEYS = ("schema_version", "kind", "p", "nu", "c", "corr", "levels", "meta")
+_TABLE_REQUIRED = ("kind", "p", "nu", "levels", "meta")
+_META_KEYS = ("n_steps", "n_reps", "seed")
+
+
 def table_from_json_dict(payload):
-    if not isinstance(payload, dict):
-        raise DataError(f"critical-value table must be a JSON object, got {type(payload).__name__}")
+    json_object(payload, "critical-value table", DataError, _TABLE_KEYS, _TABLE_REQUIRED)
+    label = "critical-value table field {!r}".format
+    levels = json_object(payload["levels"], label("levels"), DataError)
+    meta = json_object(payload["meta"], label("meta"), DataError, _META_KEYS, _META_KEYS)
 
     def field(convert, value, name):
-        return typed(convert, value, f"critical-value table field {name!r}", DataError)
+        return typed(convert, value, label(name), DataError)
 
-    def mapping(name):
-        value = payload[name]
-        if not isinstance(value, dict):
-            raise DataError(f"critical-value table field {name!r} must be a JSON object, got {value!r}")
-        return value
+    def level(key):  # a JSON object key is a string: the one number read from text
+        try:
+            return float(key)
+        except ValueError:
+            raise DataError(f"{label('levels')} keys must be numbers, got {key!r}") from None
 
     try:
-        levels, meta = mapping("levels"), mapping("meta")
         table = CriticalValueTable(
             functional_kind=payload["kind"],
             p=field(int, payload["p"], "p"),
             nu=field(float, payload["nu"], "nu"),
             c=None if payload.get("c") is None else field(float, payload["c"], "c"),
             corr=None if payload.get("corr") is None else field(float, payload["corr"], "corr"),
-            quantiles={field(float, lv, "levels"): field(float, v, "levels") for lv, v in levels.items()},
+            quantiles={level(lv): field(float, v, "levels") for lv, v in levels.items()},
             meta={
-                "n_steps": field(int, meta.get("n_steps"), "meta.n_steps"),  # a missing one reads as null
-                "n_reps": field(int, meta.get("n_reps"), "meta.n_reps"),
-                "master_seed": field(int, meta.get("seed"), "meta.seed"),
+                "n_steps": field(int, meta["n_steps"], "meta.n_steps"),
+                "n_reps": field(int, meta["n_reps"], "meta.n_reps"),
+                "master_seed": field(int, meta["seed"], "meta.seed"),
             },
         )
         check_functional(table.functional_kind, table.meta["n_steps"], table.p, table.nu, table.c, table.corr)
-    except KeyError as exc:
-        raise DataError(f"critical-value table is missing field {exc}") from exc
     except SpecError as exc:
         raise DataError(f"critical-value table does not define a limit functional: {exc}") from exc
     if not all(map(math.isfinite, table.quantiles.values())):

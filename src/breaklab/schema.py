@@ -1,9 +1,9 @@
-"""Output schema versioning, file and JSON helpers, typed config fields and the float policy."""
+"""Output schema versioning, file and JSON helpers, the JSON field and object rules and the float policy."""
 
 import json
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -31,12 +31,29 @@ def jsonable(obj):
 
 
 def typed(convert, value, name, error):
-    """``convert(value)``; a value of the wrong type raises ``error`` naming ``name``."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        what = "an integer" if convert is int else "a number"
-        raise error(f"{name} must be {what}, got {value!r}") from exc
+    """The JSON ``value`` of field ``name`` as ``convert`` (int or float): an integer
+    field takes only an integer, a number field an integer or a float; a bool, a
+    string or any other value raises ``error`` naming ``name``."""
+    kinds = (int, np.integer) if convert is int else (int, float, np.integer, np.floating)
+    if isinstance(value, kinds) and not isinstance(value, bool):
+        with suppress(OverflowError):  # an integer too large for a float
+            return convert(value)
+    what = "an integer" if convert is int else "a number"
+    raise error(f"{name} must be {what}, got {value!r}")
+
+
+def json_object(value, what, error, keys=None, required=()):
+    """``value`` if it is a JSON object whose keys all lie in ``keys`` (None: any)
+    and include each ``required`` one; otherwise ``error`` naming ``what`` and the key."""
+    if not isinstance(value, dict):
+        raise error(f"{what} must be a JSON object, got {type(value).__name__}")
+    unknown = [] if keys is None else sorted(map(str, set(value) - set(keys)))
+    if unknown:
+        raise error(f"unknown {what} key(s): {', '.join(unknown)}")
+    for key in required:
+        if key not in value:
+            raise error(f"{what} is missing required key {key!r}")
+    return value
 
 
 def finite(value, name, error):
@@ -86,6 +103,4 @@ def read_json(path, what):
             payload = json.load(fh)
         except ValueError as exc:
             raise DataError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise DataError(f"{path}: the {what} must be a JSON object, got {type(payload).__name__}")
-    return payload
+    return json_object(payload, f"{path}: the {what}", DataError)

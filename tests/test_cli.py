@@ -322,6 +322,66 @@ def test_string_table_paths_exit_2_naming_the_field(tmp_path, capfd):
     assert "table_source key 'paths'" in err and "Traceback" not in err
 
 
+#: an input of each kind that gives every integer and number field the field rule reads
+_TYPED_BASES = {
+    "spec": {**_SPEC, "master_seed": 7, "level": 0.05, "nu": None},
+    "config": {"family": "predictive_lur", "T": 50, "s": 0.5, "beta_pre": [0.0], "beta_post": [0.5],
+               "sigma_eps_sq": 1.0, "sigma_u_sq": 1.0, "sigma_eps_u": -0.5, "c": -5.0, "mu": 0.0, "x0": 0.0},
+    "table": {**_TABLE, "kind": "supabslurcusum", "c": -5.0, "corr": -0.5},
+}
+#: (input, path to the field, a valid value, a valid integer for a number field or None)
+_INTEGER_FIELDS = [
+    ("spec", ("n_reps",), 100), ("spec", ("master_seed",), 7), ("spec", ("table_source", "n_reps"), 1000),
+    ("spec", ("table_source", "n_steps"), 50), ("config", ("T",), 50), ("table", ("p",), 1),
+    ("table", ("meta", "n_steps"), 50), ("table", ("meta", "n_reps"), 1000), ("table", ("meta", "seed"), 1),
+]
+_NUMBER_FIELDS = [
+    ("spec", ("nu",), 0.15, 0), ("spec", ("level",), 0.05, None), ("config", ("s",), 0.5, None),
+    ("config", ("beta_pre", 0), 0.0, 0), ("config", ("beta_post", 0), 0.5, 1), ("config", ("sigma_eps_sq",), 1.0, 2),
+    ("config", ("sigma_u_sq",), 1.0, 1), ("config", ("sigma_eps_u",), -0.5, 0), ("config", ("c",), -5.0, -5),
+    ("config", ("mu",), 0.0, 1), ("config", ("x0",), 0.0, 1), ("table", ("nu",), 0.0, 0),
+    ("table", ("c",), -5.0, -5), ("table", ("corr",), -0.5, 0), ("table", ("levels", "0.95"), 1.36, 2),
+]
+#: (input, path, value, "an integer" or "a number" when refused, None when accepted)
+_TYPED_CASES = [
+    *[(w, path, bad, "an integer") for w, path, ok in _INTEGER_FIELDS for bad in (True, str(ok), ok + 0.5)],
+    *[(w, path, bad, "a number") for w, path, ok, _ in _NUMBER_FIELDS for bad in (True, str(ok))],
+    *[(w, path, ok, None) for w, path, _, ok in _NUMBER_FIELDS if ok is not None],
+]
+
+
+@pytest.mark.parametrize(
+    "what,path,value,refused_as", _TYPED_CASES, ids=[f"{c[0]}-{'.'.join(map(str, c[1]))}-{c[2]!r}" for c in _TYPED_CASES]
+)
+def test_an_integer_field_takes_a_json_integer_and_a_number_field_a_json_number(
+    tmp_path, capfd, what, path, value, refused_as
+):
+    # a bool, a numeric string or a fraction is refused, never read as the number it resembles
+    payload = json.loads(json.dumps(_TYPED_BASES[what]))
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    inp, out = tmp_path / "in.json", tmp_path / "out"
+    inp.write_text(json.dumps(payload))
+    if what == "spec":
+        argv = ["experiment", "--spec", str(inp), "--out", str(out)]
+    elif what == "config":
+        argv = ["simulate", "--config", str(inp), "--out", str(out)]
+    else:
+        data = tmp_path / "d.csv"
+        data.write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
+        argv = ["test", "--stat", "cusum", "--input", str(data), "--critvals", str(inp), "--out", str(out)]
+    code, err = main(argv), capfd.readouterr().err
+    assert "Traceback" not in err
+    if refused_as is None:
+        assert code == 0 and out.exists(), err
+        return
+    key = next(k for k in reversed(path) if isinstance(k, str) and not k[0].isdigit())  # not a list index or level
+    assert code == 2 and f"{key}' must be {refused_as}, got {value!r}" in err, err
+    assert {p.name for p in tmp_path.iterdir()} <= {"in.json", "d.csv"}
+
+
 #: a trimming that leaves no interior point of a 3-step grid to scan
 _EMPTY_WINDOW = "nu=0.4 leaves no interior grid point for n_steps=3"
 #: supabslurcusum takes its sup over the whole grid
