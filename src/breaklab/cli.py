@@ -9,12 +9,20 @@ numerical failure.  Human-readable output goes to standard error; machine
 output goes to files or standard output only.  Every output carries a
 provenance echo of the effective merged configuration: JSON outputs embed it
 under ``provenance``, CSV outputs get a ``<out>.provenance.json`` sidecar.
+
+A process (``python -m breaklab.cli`` or the ``breaklab`` script) runs
+:func:`run`: once every output is closed and standard output and standard
+error are flushed, it exits at once, without interpreter teardown.  The exit
+codes are those above.  :func:`main` returns the code, so an in-process
+caller carries on after it.
 """
 
 import argparse
 import json
 import logging
+import os
 import sys
+from contextlib import suppress
 
 from . import break_tests, dgp, experiments, limit_lab
 from .errors import DataError, NumericalError, SpecError
@@ -314,5 +322,26 @@ def main(argv=None):
     return dispatch(argv if argv is not None else sys.argv[1:])
 
 
+def run(argv=None):
+    """The process entry point: :func:`main`, then flush standard output and
+    standard error and exit with its code, skipping interpreter teardown.
+
+    An exception escaping ``main`` takes the interpreter's usual path (a
+    traceback, exit 1).  A flush that fails, as on a closed pipe, exits 120,
+    as the interpreter's own teardown does.
+    """
+    code = main(argv)
+    for stream, name in ((sys.stdout, "output"), (sys.stderr, "error")):
+        try:
+            if stream is not None:  # None: the interpreter started without that stream
+                stream.flush()
+        except (OSError, ValueError) as exc:  # a closed pipe or stream
+            code = 120
+            with suppress(AttributeError, OSError, ValueError):
+                sys.stderr.write(f"breaklab: cannot flush standard {name}: {exc}\n")
+                sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

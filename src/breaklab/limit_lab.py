@@ -411,9 +411,12 @@ def table_from_json_dict(payload):
 
     def level(key):  # a JSON object key is a string: the one number read from text
         try:
-            return float(key)
+            lv = float(key)
         except ValueError:
-            raise DataError(f"{label('levels')} keys must be numbers, got {key!r}") from None
+            lv = math.nan
+        if not 0.0 < lv < 1.0:  # NaN fails too
+            raise DataError(f"{label('levels')} keys must be numbers in (0, 1), got {key!r}")
+        return lv
 
     try:
         table = CriticalValueTable(
@@ -432,6 +435,8 @@ def table_from_json_dict(payload):
         check_functional(table.functional_kind, table.meta["n_steps"], table.p, table.nu, table.c, table.corr)
     except SpecError as exc:
         raise DataError(f"critical-value table does not define a limit functional: {exc}") from exc
+    if len(table.quantiles) < len(levels):  # "0.95" and "0.950": one level, one quantile dropped
+        raise DataError(f"{label('levels')} gives a level twice, got keys {list(levels)}")
     if not all(map(math.isfinite, table.quantiles.values())):
         raise DataError(f"critical-value table field 'levels' must hold finite quantiles, got {levels}")
     return table

@@ -3,12 +3,15 @@
 import io
 import json
 import logging
+import os
+import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import breaklab
 from breaklab.cli import main
 from breaklab.dgp import sample_from_csv
 from breaklab.limit_lab import load_table, save_table, tabulate
@@ -23,6 +26,55 @@ def test_console_script_wired_up():
     )
     assert proc.returncode == 0
     assert b"simulate" in proc.stdout
+
+
+def _cli_process(argv, cwd):
+    """``python -m breaklab.cli argv`` in ``cwd``, importing this breaklab.  Its
+    standard output is buffered, so what it writes waits there for the exit flush."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(breaklab.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "breaklab.cli", *argv], cwd=cwd, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+@pytest.mark.parametrize(
+    "argv,code,stream,shows",
+    [
+        (["test", "--stat", "cusum", "--input", "d.csv"], 0, "out", '"stat": "cusum"'),
+        (["test", "--stat", "nosuch", "--input", "d.csv"], 1, "err", "invalid choice: 'nosuch'"),
+        (["test", "--stat", "wald", "--input", "missing.csv"], 2, "err", "missing.csv"),
+        (["-v", "test", "--stat", "cusum", "--input", "d.csv", "--out", "o.json"], 0, "err",
+         "INFO breaklab: wrote outcome to o.json"),
+        (["--help"], 0, "out", "{simulate,test,critvals,experiment}"),
+    ],
+    ids=["json-to-pipe", "usage-error", "missing-input", "verbose", "help"],
+)
+def test_a_process_exits_with_the_code_and_output_of_main(tmp_path, capfd, monkeypatch, argv, code, stream, shows):
+    # the process exits as soon as it has flushed, skipping interpreter teardown:
+    # nothing main writes may be lost, and the exit code is the one main returns
+    (tmp_path / "d.csv").write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the help to the terminal width
+    proc = _cli_process(argv, tmp_path)
+    out, err = proc.communicate(timeout=60)
+    capfd.readouterr()
+    assert main(argv) == code
+    assert (proc.returncode, out, err) == (code, *capfd.readouterr())
+    assert shows in (out if stream == "out" else err)
+    if stream == "out" and argv[0] == "test":
+        assert json.loads(out)["stat"] == "cusum"
+
+
+def test_a_process_whose_stdout_is_closed_exits_120(tmp_path):
+    # the JSON waits in the stdout buffer until the exit flush, which finds no
+    # reader: the interpreter's own teardown exits 120 then, and so does the process
+    (tmp_path / "d.csv").write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
+    proc = _cli_process(["test", "--stat", "cusum", "--input", "d.csv"], tmp_path)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 120
+    assert "Broken pipe" in err and "Traceback" not in err
 
 
 def test_usage_error_exits_1(capfd):
@@ -312,6 +364,25 @@ def test_table_with_non_object_nested_field_exits_2(tmp_path, capfd, field, valu
     assert main(["test", "--stat", "cusum", "--input", str(data), "--critvals", str(path)]) == 2
     err = capfd.readouterr().err
     assert f"'{field}'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [{"0.95": 1.36, "0.950": 9.9}, {"nan": 1.36}, {"inf": 1.36}, {"7": 1.36}, {"-1": 1.36}, {"0": 1.36},
+     {"1": 1.36}],
+    ids=["duplicate", "nan", "inf", "7", "-1", "0", "1"],
+)
+def test_a_table_level_given_twice_or_outside_0_1_exits_2(tmp_path, capfd, levels):
+    # "0.95" and "0.950" are one level: loading both would drop one quantile unseen
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({**_TABLE, "levels": levels}))
+    data = tmp_path / "d.csv"
+    data.write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
+    out = tmp_path / "o.json"
+    assert main(["test", "--stat", "cusum", "--input", str(data), "--critvals", str(path), "--out", str(out)]) == 2
+    err = capfd.readouterr().err
+    assert "'levels'" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_string_table_paths_exit_2_naming_the_field(tmp_path, capfd):
