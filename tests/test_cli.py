@@ -28,12 +28,14 @@ def test_console_script_wired_up():
     assert b"simulate" in proc.stdout
 
 
-def _cli_process(argv, cwd):
-    """``python -m breaklab.cli argv`` in ``cwd``, importing this breaklab.  Its
-    standard output is buffered, so what it writes waits there for the exit flush."""
+def _cli_process(argv, cwd, **env_vars):
+    """``python -m breaklab.cli argv`` in ``cwd``, importing this breaklab, with
+    ``env_vars`` set.  Unless they say otherwise, its standard output is buffered,
+    so what it writes waits there for the exit flush."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(breaklab.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     env.pop("PYTHONUNBUFFERED", None)
+    env.update(env_vars)
     return subprocess.Popen([sys.executable, "-m", "breaklab.cli", *argv], cwd=cwd, env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
@@ -75,6 +77,27 @@ def test_a_process_whose_stdout_is_closed_exits_120(tmp_path):
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 120
     assert "Broken pipe" in err and "Traceback" not in err
+
+
+def test_a_failed_write_to_standard_output_exits_120(tmp_path):
+    # unbuffered, the JSON goes out at the write itself, which finds no reader:
+    # the process ends as a failed exit flush does, with one line and no traceback
+    (tmp_path / "d.csv").write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
+    proc = _cli_process(["test", "--stat", "cusum", "--input", "d.csv"], tmp_path, PYTHONUNBUFFERED="1")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 120
+    assert err.startswith("breaklab: cannot write standard output: ") and err.count("\n") == 1
+    assert "Broken pipe" in err
+
+
+def test_main_returns_120_when_standard_output_is_closed(tmp_path, monkeypatch, capsys):
+    (tmp_path / "d.csv").write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
+    closed = io.StringIO()
+    closed.close()
+    monkeypatch.setattr(sys, "stdout", closed)
+    assert main(["test", "--stat", "cusum", "--input", str(tmp_path / "d.csv")]) == 120
+    assert capsys.readouterr().err.startswith("breaklab: cannot write standard output: ")
 
 
 def test_usage_error_exits_1(capfd):

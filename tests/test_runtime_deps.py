@@ -68,3 +68,60 @@ def test_serial_runs_never_import_multiprocessing(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "t.json").is_file()
+
+
+def _fresh(args, cwd=None):
+    """Run ``python args`` in a fresh interpreter that imports this breaklab."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def _loaded(code):
+    """The ``breaklab.*`` modules loaded after running ``code`` in a fresh interpreter."""
+    code += "\nimport sys; print(' '.join(m for m in sys.modules if m.startswith('breaklab.')))"
+    return set(_fresh(["-c", code]).stdout.split())
+
+
+def test_importing_the_package_loads_no_module_until_a_name_is_used():
+    assert _loaded("import breaklab") == set()
+    loaded = _loaded("from breaklab import tabulate")
+    assert "breaklab.limit_lab" in loaded
+    unused = {"dgp", "estimators", "break_tests", "experiments", "cli"}
+    assert not loaded & {f"breaklab.{name}" for name in unused}, sorted(loaded)
+
+
+#: ``python -m breaklab.cli`` that, as the process exits, prints the modules it loaded
+CLI_SCRIPT = """
+import os, runpy, sys
+
+def exit_listing_modules(code, exit=os._exit):
+    sys.stdout.write(" ".join(sys.modules) + "\\n")
+    sys.stdout.flush()
+    exit(code)
+
+os._exit = exit_listing_modules
+runpy.run_module("breaklab.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_cli_commands_other_than_experiment_never_load_the_engine(tmp_path):
+    commands = [
+        ["simulate", "--family", "location", "--T", "50", "--out", "d.csv"],
+        ["critvals", "--kind", "supabsbb", "--reps", "1000", "--steps", "50", "--out", "t.json"],
+        ["test", "--stat", "cusum", "--input", "d.csv", "--critvals", "t.json", "--out", "o.json"],
+    ]
+    for argv in commands:
+        loaded = set(_fresh(["-c", CLI_SCRIPT, "-q", *argv], cwd=tmp_path).stdout.split())
+        assert "breaklab.dgp" in loaded, argv[0]
+        assert not loaded & {"breaklab.experiments", "concurrent.futures"}, argv[0]
+    assert (tmp_path / "o.json").is_file()
+    # the experiment command does load the engine, through the same listing
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"n_reps": 100, "stat_kinds": ["cusum"], "table_source": {"mode": "precomputed", '
+                    '"paths": ["t.json"]}, "dgp_grid": [{"family": "location", "T": 30}]}')
+    loaded = set(_fresh(["-c", CLI_SCRIPT, "-q", "experiment", "--spec", "spec.json", "--out", "r.csv"],
+                        cwd=tmp_path).stdout.split())
+    assert "breaklab.experiments" in loaded
