@@ -450,8 +450,9 @@ def sample_to_csv(sample, path):
 def sample_from_csv(path):
     """Read a sample written by :func:`sample_to_csv` (truth is not stored).
 
-    Rejects ``nan``/``inf`` in y or X with a :class:`DataError` naming the
-    first such data row (1-based, header excluded).
+    Rejects a file with no data rows, and ``nan``/``inf`` in y or X with a
+    :class:`DataError` naming the first such data row (1-based, header
+    excluded).
     """
     with opened(path, "input") as fh:
         header = fh.readline().strip()
@@ -460,10 +461,13 @@ def sample_from_csv(path):
             raise DataError(
                 f"{path}: expected header 't,y,x1,...,xp', got {header!r}"
             )
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise DataError(f"{path}: could not parse numeric rows: {exc}") from exc
+        rows = fh.read()
+    if not rows.strip():
+        raise DataError(f"{path}: has no data rows")
+    try:
+        data = np.loadtxt(rows.splitlines(), delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise DataError(f"{path}: could not parse numeric rows: {exc}") from exc
     if data.shape[1] != len(cols):
         raise DataError(
             f"{path}: header names {len(cols)} columns but rows have {data.shape[1]}"

@@ -3,15 +3,12 @@
 import io
 import json
 import logging
-import os
-import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
 
-import breaklab
 from breaklab.cli import main
 from breaklab.dgp import sample_from_csv
 from breaklab.limit_lab import load_table, save_table, tabulate
@@ -28,18 +25,6 @@ def test_console_script_wired_up():
     assert b"simulate" in proc.stdout
 
 
-def _cli_process(argv, cwd, **env_vars):
-    """``python -m breaklab.cli argv`` in ``cwd``, importing this breaklab, with
-    ``env_vars`` set.  Unless they say otherwise, its standard output is buffered,
-    so what it writes waits there for the exit flush."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(breaklab.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    env.pop("PYTHONUNBUFFERED", None)
-    env.update(env_vars)
-    return subprocess.Popen([sys.executable, "-m", "breaklab.cli", *argv], cwd=cwd, env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-
-
 @pytest.mark.parametrize(
     "argv,code,stream,shows",
     [
@@ -52,13 +37,15 @@ def _cli_process(argv, cwd, **env_vars):
     ],
     ids=["json-to-pipe", "usage-error", "missing-input", "verbose", "help"],
 )
-def test_a_process_exits_with_the_code_and_output_of_main(tmp_path, capfd, monkeypatch, argv, code, stream, shows):
+def test_a_process_exits_with_the_code_and_output_of_main(
+    tmp_path, capfd, monkeypatch, python, argv, code, stream, shows
+):
     # the process exits as soon as it has flushed, skipping interpreter teardown:
     # nothing main writes may be lost, and the exit code is the one main returns
     (tmp_path / "d.csv").write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the help to the terminal width
-    proc = _cli_process(argv, tmp_path)
+    proc = python(["-m", "breaklab.cli", *argv], tmp_path)
     out, err = proc.communicate(timeout=60)
     capfd.readouterr()
     assert main(argv) == code
@@ -68,22 +55,23 @@ def test_a_process_exits_with_the_code_and_output_of_main(tmp_path, capfd, monke
         assert json.loads(out)["stat"] == "cusum"
 
 
-def test_a_process_whose_stdout_is_closed_exits_120(tmp_path):
+def test_a_process_whose_stdout_is_closed_exits_120(tmp_path, python):
     # the JSON waits in the stdout buffer until the exit flush, which finds no
     # reader: the interpreter's own teardown exits 120 then, and so does the process
     (tmp_path / "d.csv").write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
-    proc = _cli_process(["test", "--stat", "cusum", "--input", "d.csv"], tmp_path)
+    proc = python(["-m", "breaklab.cli", "test", "--stat", "cusum", "--input", "d.csv"], tmp_path)
     proc.stdout.close()
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 120
     assert "Broken pipe" in err and "Traceback" not in err
 
 
-def test_a_failed_write_to_standard_output_exits_120(tmp_path):
+def test_a_failed_write_to_standard_output_exits_120(tmp_path, python):
     # unbuffered, the JSON goes out at the write itself, which finds no reader:
     # the process ends as a failed exit flush does, with one line and no traceback
     (tmp_path / "d.csv").write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
-    proc = _cli_process(["test", "--stat", "cusum", "--input", "d.csv"], tmp_path, PYTHONUNBUFFERED="1")
+    proc = python(["-m", "breaklab.cli", "test", "--stat", "cusum", "--input", "d.csv"], tmp_path,
+                  PYTHONUNBUFFERED="1")
     proc.stdout.close()
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 120
@@ -265,6 +253,17 @@ def test_non_finite_input_exits_2_and_names_the_row(tmp_path, capfd, bad):
     data.write_text("t,y,x1\n" + "\n".join(rows) + "\n")
     assert main(["test", "--stat", "cusum", "--input", str(data)]) == 2
     assert "data row 5" in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n  \n"], ids=["header-only", "blank-line", "blank-lines"])
+def test_a_sample_with_no_data_rows_exits_2_with_one_line_and_no_warning(tmp_path, capfd, body):
+    data = tmp_path / "e.csv"
+    data.write_text("t,y,x1\n" + body)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["test", "--stat", "cusum", "--input", str(data)]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capfd.readouterr().err == f"ERROR breaklab: {data}: has no data rows\n"
 
 
 def _experiment_spec(tmp_path, n_reps=100):
@@ -529,7 +528,7 @@ def test_bad_functional_or_table_exits_2_before_any_draw(tmp_path, capfd, monkey
     monkeypatch.setattr(
         rng.StreamStack,
         "normal_rows",
-        lambda self, shape: drawn.append(shape) or real_normal_rows(self, shape),
+        lambda self, *args, **kwargs: drawn.append(args) or real_normal_rows(self, *args, **kwargs),
     )
     assert main(argv) == 2
     err = capfd.readouterr().err
@@ -800,10 +799,10 @@ def test_test_refuses_a_flag_its_run_does_not_read(tmp_path, capfd, monkeypatch,
         assert json.loads((tmp_path / "o.json").read_text())["provenance"][key] == kept
 
 
-def test_help_to_a_closed_unbuffered_stdout_exits_120(tmp_path, monkeypatch, capsys):
+def test_help_to_a_closed_unbuffered_stdout_exits_120(tmp_path, monkeypatch, capsys, python):
     # argparse's own writer drops a failed write; breaklab's parser reports it, so an
     # unbuffered --help ends as a buffered one does at its exit flush
-    proc = _cli_process(["--help"], tmp_path, PYTHONUNBUFFERED="1")
+    proc = python(["-m", "breaklab.cli", "--help"], tmp_path, PYTHONUNBUFFERED="1")
     proc.stdout.close()
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 120

@@ -271,7 +271,7 @@ def test_missing_table_level_fails_before_any_stacked_draw(tmp_path, monkeypatch
     monkeypatch.setattr(
         rng.StreamStack,
         "normal_rows",
-        lambda self, shape: drawn.append(self) or real_normal_rows(self, shape),
+        lambda self, *args, **kwargs: drawn.append(self) or real_normal_rows(self, *args, **kwargs),
     )
     with pytest.raises(TableLookupError, match="level 0.95"):
         run_experiment(spec)
@@ -617,7 +617,7 @@ def test_inline_table_keys_are_all_checked_before_any_is_drawn(monkeypatch):
     monkeypatch.setattr(
         rng.StreamStack,
         "normal_rows",
-        lambda self, shape: drawn.append(shape) or real_normal_rows(self, shape),
+        lambda self, *args, **kwargs: drawn.append(args) or real_normal_rows(self, *args, **kwargs),
     )
     spec = _small_spec(stat_kinds=("cusum", "wald"), nu=0.0)
     with pytest.raises(SpecError, match="supqp"):

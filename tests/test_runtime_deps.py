@@ -2,12 +2,6 @@
 the engine never import scipy (the tests themselves may).  A serial run
 never loads multiprocessing either: only a worker pool needs it."""
 
-import os
-import subprocess
-import sys
-
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-
 SCRIPT = """
 import sys
 
@@ -31,13 +25,8 @@ assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.split(".")
 """
 
 
-def test_run_path_never_imports_scipy(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(tmp_path / "d.csv")], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
+def test_run_path_never_imports_scipy(tmp_path, python):
+    _fresh(python, ["-c", SCRIPT, str(tmp_path / "d.csv")])
     assert (tmp_path / "d.csv").read_text().startswith("t,y,x1,x2\n")
 
 
@@ -60,34 +49,28 @@ assert "multiprocessing" not in sys.modules, sorted(m for m in sys.modules if m.
 """
 
 
-def test_serial_runs_never_import_multiprocessing(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", SERIAL_SCRIPT, str(tmp_path)], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
+def test_serial_runs_never_import_multiprocessing(tmp_path, python):
+    _fresh(python, ["-c", SERIAL_SCRIPT, str(tmp_path)])
     assert (tmp_path / "t.json").is_file()
 
 
-def _fresh(args, cwd=None):
-    """Run ``python args`` in a fresh interpreter that imports this breaklab."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd)
-    assert proc.returncode == 0, proc.stderr
-    return proc
+def _fresh(python, args, cwd=None):
+    """The standard output of ``python args`` in a fresh interpreter that imports this breaklab."""
+    proc = python(args, cwd)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    return out
 
 
-def _loaded(code):
+def _loaded(python, code):
     """The ``breaklab.*`` modules loaded after running ``code`` in a fresh interpreter."""
     code += "\nimport sys; print(' '.join(m for m in sys.modules if m.startswith('breaklab.')))"
-    return set(_fresh(["-c", code]).stdout.split())
+    return set(_fresh(python, ["-c", code]).split())
 
 
-def test_importing_the_package_loads_no_module_until_a_name_is_used():
-    assert _loaded("import breaklab") == set()
-    loaded = _loaded("from breaklab import tabulate")
+def test_importing_the_package_loads_no_module_until_a_name_is_used(python):
+    assert _loaded(python, "import breaklab") == set()
+    loaded = _loaded(python, "from breaklab import tabulate")
     assert "breaklab.limit_lab" in loaded
     unused = {"dgp", "estimators", "break_tests", "experiments", "cli"}
     assert not loaded & {f"breaklab.{name}" for name in unused}, sorted(loaded)
@@ -107,14 +90,14 @@ runpy.run_module("breaklab.cli", run_name="__main__", alter_sys=True)
 """
 
 
-def test_cli_commands_other_than_experiment_never_load_the_engine(tmp_path):
+def test_cli_commands_other_than_experiment_never_load_the_engine(tmp_path, python):
     commands = [
         ["simulate", "--family", "location", "--T", "50", "--out", "d.csv"],
         ["critvals", "--kind", "supabsbb", "--reps", "1000", "--steps", "50", "--out", "t.json"],
         ["test", "--stat", "cusum", "--input", "d.csv", "--critvals", "t.json", "--out", "o.json"],
     ]
     for argv in commands:
-        loaded = set(_fresh(["-c", CLI_SCRIPT, "-q", *argv], cwd=tmp_path).stdout.split())
+        loaded = set(_fresh(python, ["-c", CLI_SCRIPT, "-q", *argv], cwd=tmp_path).split())
         assert "breaklab.dgp" in loaded, argv[0]
         assert not loaded & {"breaklab.experiments", "concurrent.futures"}, argv[0]
     assert (tmp_path / "o.json").is_file()
@@ -122,6 +105,6 @@ def test_cli_commands_other_than_experiment_never_load_the_engine(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text('{"n_reps": 100, "stat_kinds": ["cusum"], "table_source": {"mode": "precomputed", '
                     '"paths": ["t.json"]}, "dgp_grid": [{"family": "location", "T": 30}]}')
-    loaded = set(_fresh(["-c", CLI_SCRIPT, "-q", "experiment", "--spec", "spec.json", "--out", "r.csv"],
-                        cwd=tmp_path).stdout.split())
+    loaded = set(_fresh(python, ["-c", CLI_SCRIPT, "-q", "experiment", "--spec", "spec.json", "--out", "r.csv"],
+                        cwd=tmp_path).split())
     assert "breaklab.experiments" in loaded
