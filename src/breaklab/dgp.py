@@ -31,7 +31,7 @@ import numpy as np
 from . import kernels
 from .errors import DataError, SpecError
 from .rng import InnovCov, StreamStack, gaussian_pairs
-from .schema import csv_text, finite, json_object, opened, typed, write_text
+from .schema import MEMORY_BUDGET, csv_text, finite, json_object, opened, typed, write_text
 
 #: config key -> the :class:`DgpSpec` field it sets (``cov.*``: an :class:`InnovCov`
 #: field), in the order :func:`spec_to_config` writes them
@@ -87,8 +87,8 @@ class DgpSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise SpecError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if not 4 <= typed(int, self.T, "T", SpecError) <= np.iinfo(np.intp).max:
-            raise SpecError(f"T must be an integer >= 4 that fits in a 64-bit array index, got {self.T!r}")
+        if typed(int, self.T, "T", SpecError) < 4:
+            raise SpecError(f"T must be an integer >= 4, got {self.T!r}")
         if not 0.0 <= self.s <= 1.0:
             raise SpecError(f"break fraction s must lie in [0, 1], got {self.s}")
         object.__setattr__(self, "params_pre", tuple(float(v) for v in self.params_pre))
@@ -112,6 +112,9 @@ class DgpSpec:
                 raise SpecError(f"family {self.family!r} does not read {key}, got {_GETTERS[key](self)!r}")
         if family.one_coef and self.p != 1:
             raise SpecError(f"family {self.family!r} requires exactly one coefficient, got p={self.p}")
+        size = replication_bytes(int(self.T), self.design_dim)  # a Python int: a numpy one would wrap
+        if size > MEMORY_BUDGET:
+            raise SpecError(f"T={self.T} needs {size} bytes per replication, over the memory budget of {MEMORY_BUDGET}")
         for key, rho in family.roots(self).items():
             if abs(rho) > 1.5:
                 setting = f"persistence c={self.persistence_c}" if key == "c" else f"{key}={rho}"
@@ -332,6 +335,12 @@ def _stack(spec, z, pairs=None):
     return SampleStack(y=y, X=X, truth=spec, innovations=innovations)
 
 
+def replication_bytes(T, p):
+    """Bytes of one replication's generation stack: about four T x (p + 1)
+    float64 arrays (its normals, paths, y and X)."""
+    return 8 * T * 4 * (p + 1)
+
+
 def draw_shape(spec):
     """Shape of the standard normals one replication of ``spec`` draws."""
     return _FAMILIES[spec.family].draw_shape(spec)
@@ -450,7 +459,8 @@ def sample_to_csv(sample, path):
 def sample_from_csv(path):
     """Read a sample written by :func:`sample_to_csv` (truth is not stored).
 
-    Rejects a file with no data rows, and ``nan``/``inf`` in y or X with a
+    Rejects a file with no data rows, any row that is not comma-separated
+    numbers (``#`` starts no comment), and ``nan``/``inf`` in y or X with a
     :class:`DataError` naming the first such data row (1-based, header
     excluded).
     """
@@ -465,7 +475,7 @@ def sample_from_csv(path):
     if not rows.strip():
         raise DataError(f"{path}: has no data rows")
     try:
-        data = np.loadtxt(rows.splitlines(), delimiter=",", ndmin=2)
+        data = np.loadtxt(rows.splitlines(), delimiter=",", ndmin=2, comments=None)
     except ValueError as exc:
         raise DataError(f"{path}: could not parse numeric rows: {exc}") from exc
     if data.shape[1] != len(cols):

@@ -230,14 +230,14 @@ STACK_BYTES = 1 << 23
 
 def stack_size(T, p):
     """Replications generated at once, the most one payload holds: as many as
-    keep about four T x (p + 1) arrays per replication within
+    keep their :func:`~breaklab.dgp.replication_bytes` within
     :data:`STACK_BYTES` (174 at T=500, p=2)."""
-    return max(1, STACK_BYTES // (8 * T * 4 * (p + 1)))
+    return max(1, STACK_BYTES // dgp.replication_bytes(T, p))
 
 
 def _evaluate_stack(stack, rep_lo, stat_items, paths_upto):
     """Evaluate one cell's generated replications ``rep_lo ..``; returns
-    ``(sups, paths, skipped)`` as :func:`_run_chunk` describes.
+    ``(sups, paths, skipped)`` as :func:`_run_cells` describes.
 
     The stack gets one pooled fit, and each statistic returns its stacked
     outcome on it once.  An outcome is dropped as soon as its sups, skipped
@@ -263,7 +263,11 @@ def _evaluate_stack(stack, rep_lo, stat_items, paths_upto):
 def _run_cells(payload):
     """One payload: replications [rep_lo, rep_hi) of every cell in a group
     that shares one draw shape; one ``(sups, paths, skipped)`` per cell, in
-    the group's order, as :func:`_run_chunk` describes.
+    the group's order.  Per statistic, ``sups`` holds one sup per replication,
+    NaN where it failed, and ``skipped`` the number of skipped Wald splits;
+    under :data:`RANK_DEFICIENT` it counts the replications whose pooled
+    design failed the rank check.  ``paths`` holds ``(rep, kind, ks, path)``
+    for each sampled replication whose sup is defined, by replication.
 
     Module-level so it can cross a process boundary.  The payload is one
     generation stack (:func:`run_experiment` sizes it by :func:`stack_size`):
@@ -300,10 +304,8 @@ def _run_chunk(payload):
     """Compute sup statistics for replications [rep_lo, rep_hi) of one cell,
     generated as one stack: the one-cell case of :func:`_run_cells`.
 
-    Returns ``(rep_lo, sups, paths, skipped)``: NaN where a replication
-    failed for that statistic, the sampled paths, and per statistic the
-    number of skipped Wald splits; under :data:`RANK_DEFICIENT` the same
-    dict counts the replications whose pooled design failed the rank check.
+    Returns ``rep_lo`` and the cell's ``(sups, paths, skipped)`` as
+    :func:`_run_cells` describes.
     """
     [(sups, paths, skipped)] = _run_cells(([payload[0]], *payload[1:]))
     return payload[3], sups, paths, skipped

@@ -36,7 +36,8 @@ import numpy as np
 from . import kernels
 from .errors import DataError, SpecError, TableLookupError
 from .rng import DEFAULT_MASTER_SEED, LIMIT_DRAW_STREAM_OFFSET, limit_draw_stream
-from .schema import SCHEMA_VERSION, finite, json_object, json_text, jsonable, read_json, typed, write_text
+from .schema import (MEMORY_BUDGET, SCHEMA_VERSION, finite, json_object, json_text, jsonable, read_json, typed,
+                     write_text)
 
 #: functional kind -> the parameters besides ``p`` its draws read; any other must keep its default
 _READS = {"supabsbb": ("nu",), "supqp": ("nu",), "supabslurcusum": ("c", "corr"), "cvmp1trace": ()}
@@ -112,10 +113,16 @@ def check_functional(kind, n_steps, p, nu, c=None, corr=None):
     """
     if kind not in FUNCTIONAL_KINDS:  # a tuple: a table's kind may be any JSON value, unhashable too
         raise SpecError(f"unknown functional kind {kind!r}; expected one of {FUNCTIONAL_KINDS}")
-    if not 2 <= n_steps <= np.iinfo(np.intp).max:
-        raise SpecError(f"n_steps must be at least 2 and fit in a 64-bit array index, got {n_steps}")
+    if n_steps < 2:
+        raise SpecError(f"n_steps must be at least 2, got {n_steps}")
     if p < 1:
         raise SpecError(f"dimension p must be >= 1, got {p}")
+    shape = {"supqp": (p, n_steps), "supabslurcusum": (2, n_steps)}.get(kind, (n_steps,))
+    # a sub-block of one draw (_draw_blocks): its normals and their _workspace, in Python ints that cannot wrap
+    size = 3 * 8 * math.prod(map(int, shape))
+    if size > MEMORY_BUDGET:
+        raise SpecError(f"n_steps={n_steps} needs {size} bytes per {kind} draw of shape {shape}, "
+                        f"over the memory budget of {MEMORY_BUDGET}")
     reads = _READS[kind]
     for name, value in (("nu", nu), ("c", c), ("corr", corr)):
         if name not in reads and value != _UNREAD[name][0]:
@@ -132,7 +139,6 @@ def check_functional(kind, n_steps, p, nu, c=None, corr=None):
         corr = 0.0 if corr is None else corr
         if not -1.0 <= corr <= 1.0:
             raise SpecError(f"corr must lie in [-1, 1], got {corr}")
-    shape = {"supqp": (p, n_steps), "supabslurcusum": (2, n_steps)}.get(kind, (n_steps,))
     return shape, (n_steps, p, nu, c, corr)
 
 

@@ -1,4 +1,5 @@
-"""Output schema versioning, the file helpers, the JSON field and object rules and the float policy.
+"""Output schema versioning, the file helpers, the JSON field and object rules, the memory
+budget and the float policy.
 
 Each JSON input is read by :func:`read_json`, and every output breaklab writes, in
 each of its formats, is one :func:`write_text` of :func:`json_text` or :func:`csv_text`.
@@ -15,6 +16,10 @@ from .errors import DataError
 
 #: bumped whenever any CSV header or JSON layout changes
 SCHEMA_VERSION = "1"
+
+#: most bytes one replication's generation stack or one limit draw's tabulation
+#: sub-block may take (1 GiB); a larger ``T`` or ``n_steps`` is refused before any draw
+MEMORY_BUDGET = 1 << 30
 
 
 def jsonable(obj):

@@ -30,6 +30,7 @@ from breaklab.experiments import (
 )
 from breaklab.limit_lab import _draw_block, simulate_ou, tabulate
 from breaklab.rng import limit_draw_stream, replication_stream
+from shared import kolmogorov_quantile
 
 
 class _criterion:
@@ -46,22 +47,6 @@ class _criterion:
         status = "PASS" if exc_type is None else "FAIL"
         print(f"[ACCEPTANCE {self.number}] {status}: {self.summary}")
         return False
-
-
-def kolmogorov_quantile(level, terms=100):
-    j = np.arange(1, terms + 1)
-
-    def sf(x):
-        return float(2.0 * np.sum((-1.0) ** (j - 1) * np.exp(-2.0 * j * j * x * x)))
-
-    lo, hi = 0.5, 3.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if sf(mid) > 1.0 - level:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 N_REPS = 10_000

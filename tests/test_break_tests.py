@@ -22,14 +22,10 @@ from breaklab.errors import (
 )
 from breaklab.estimators import fit_xy, ols_fit
 from breaklab.limit_lab import CriticalValueTable
+from shared import intercept_sample
 
 
-def _intercept_sample(y):
-    y = np.asarray(y, dtype=float)
-    return Sample(y=y, X=np.ones((y.shape[0], 1)))
-
-
-STEP = _intercept_sample([0.0, 0.0, 2.0, 2.0])
+STEP = intercept_sample([0.0, 0.0, 2.0, 2.0])
 
 
 def test_scan_range_formula():
@@ -56,7 +52,7 @@ def test_cusum_step_oracle():
 
 def test_cusum_degenerate_sample():
     with pytest.raises(DegenerateSampleError):
-        cusum_path(ols_fit(_intercept_sample([3.0, 3.0, 3.0, 3.0])))
+        cusum_path(ols_fit(intercept_sample([3.0, 3.0, 3.0, 3.0])))
 
 
 def test_cusum_signed_variant():
@@ -67,7 +63,7 @@ def test_cusum_signed_variant():
 
 
 def test_cusum_argmax_tie_breaks_to_smallest_k():
-    out = cusum_path(ols_fit(_intercept_sample([0.0, 0.0, 1.0, 1.0, 0.0, 0.0])))
+    out = cusum_path(ols_fit(intercept_sample([0.0, 0.0, 1.0, 1.0, 0.0, 0.0])))
     scores = np.abs(out.path)
     assert np.count_nonzero(scores == out.sup_value) == 2
     assert out.argmax_k == 2
@@ -76,8 +72,8 @@ def test_cusum_argmax_tie_breaks_to_smallest_k():
 def test_cusum_reversal_antisymmetry():
     rng = np.random.default_rng(21)
     y = rng.standard_normal(37)
-    fwd = cusum_path(ols_fit(_intercept_sample(y)))
-    rev = cusum_path(ols_fit(_intercept_sample(y[::-1])))
+    fwd = cusum_path(ols_fit(intercept_sample(y)))
+    rev = cusum_path(ols_fit(intercept_sample(y[::-1])))
     T = 37
     for idx, k in enumerate(rev.ks):
         mirror = np.where(fwd.ks == T - k)[0][0]
@@ -87,7 +83,7 @@ def test_cusum_reversal_antisymmetry():
 def test_trimming_only_restricts_scanned_indices():
     rng = np.random.default_rng(22)
     y = rng.standard_normal(60)
-    fit = ols_fit(_intercept_sample(y))
+    fit = ols_fit(intercept_sample(y))
     full = cusum_path(fit, nu=0.0)
     trimmed = cusum_path(fit, nu=0.2)
     for idx, k in enumerate(trimmed.ks):
@@ -135,7 +131,7 @@ def test_cusumsq_literal_normalization_variant():
 
 def test_cusumsq_degenerate_sample():
     with pytest.raises(DegenerateSampleError):
-        cusum_sq_path(ols_fit(_intercept_sample([1.0, 1.0, 1.0, 1.0])))
+        cusum_sq_path(ols_fit(intercept_sample([1.0, 1.0, 1.0, 1.0])))
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +153,13 @@ def test_zmean_requires_intercept_only_design():
 
 def test_zmean_degenerate_sample():
     with pytest.raises(DegenerateSampleError):
-        z_mean_path(_intercept_sample([2.0, 2.0, 2.0, 2.0]))
+        z_mean_path(intercept_sample([2.0, 2.0, 2.0, 2.0]))
 
 
 def test_zmean_equals_normalized_squared_cusum_everywhere():
     rng = np.random.default_rng(23)
     y = rng.standard_normal(41)
-    sample = _intercept_sample(y)
+    sample = intercept_sample(y)
     z = z_mean_path(sample, nu=0.0)
     c = cusum_path(ols_fit(sample), nu=0.0)
     frac = z.ks / 41
@@ -184,7 +180,7 @@ def test_wald_step_oracle():
 def test_wald_equals_zmean_for_intercept_model():
     rng = np.random.default_rng(24)
     y = rng.standard_normal(53)
-    sample = _intercept_sample(y)
+    sample = intercept_sample(y)
     w = wald_path(sample, nu=0.0)
     z = z_mean_path(sample, nu=0.0)
     assert_allclose(w.path, z.path, rtol=1e-10)
@@ -193,7 +189,7 @@ def test_wald_equals_zmean_for_intercept_model():
 def test_wald_cusum_exact_identity():
     rng = np.random.default_rng(25)
     y = rng.standard_normal(29)
-    sample = _intercept_sample(y)
+    sample = intercept_sample(y)
     w = wald_path(sample, nu=0.0)
     c = cusum_path(ols_fit(sample), nu=0.0)
     frac = w.ks / 29
@@ -234,7 +230,7 @@ def test_all_statistics_scale_equivariant_positive_affine():
     rng = np.random.default_rng(26)
     y = rng.standard_normal(48)
     a, b = 2.5, -3.0
-    s1, s2 = _intercept_sample(y), _intercept_sample(a * y + b)
+    s1, s2 = intercept_sample(y), intercept_sample(a * y + b)
     assert_allclose(
         cusum_path(ols_fit(s1)).path, cusum_path(ols_fit(s2)).path, atol=1e-8
     )
@@ -248,7 +244,7 @@ def test_all_statistics_scale_equivariant_positive_affine():
 def test_negative_scale_flips_only_the_signed_cusum():
     rng = np.random.default_rng(27)
     y = rng.standard_normal(48)
-    s1, s2 = _intercept_sample(y), _intercept_sample(-4.0 * y + 1.0)
+    s1, s2 = intercept_sample(y), intercept_sample(-4.0 * y + 1.0)
     assert_allclose(
         np.abs(cusum_path(ols_fit(s1)).path), np.abs(cusum_path(ols_fit(s2)).path), atol=1e-8
     )

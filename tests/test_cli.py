@@ -12,17 +12,7 @@ import pytest
 from breaklab.cli import main
 from breaklab.dgp import sample_from_csv
 from breaklab.limit_lab import load_table, save_table, tabulate
-
-
-def test_console_script_wired_up():
-    import subprocess
-    import sys
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "breaklab.cli", "--help"], capture_output=True
-    )
-    assert proc.returncode == 0
-    assert b"simulate" in proc.stdout
+from shared import reading_argv
 
 
 @pytest.mark.parametrize(
@@ -38,11 +28,10 @@ def test_console_script_wired_up():
     ids=["json-to-pipe", "usage-error", "missing-input", "verbose", "help"],
 )
 def test_a_process_exits_with_the_code_and_output_of_main(
-    tmp_path, capfd, monkeypatch, python, argv, code, stream, shows
+    tmp_path, sample_csv, capfd, monkeypatch, python, argv, code, stream, shows
 ):
     # the process exits as soon as it has flushed, skipping interpreter teardown:
     # nothing main writes may be lost, and the exit code is the one main returns
-    (tmp_path / "d.csv").write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the help to the terminal width
     proc = python(["-m", "breaklab.cli", *argv], tmp_path)
@@ -55,10 +44,9 @@ def test_a_process_exits_with_the_code_and_output_of_main(
         assert json.loads(out)["stat"] == "cusum"
 
 
-def test_a_process_whose_stdout_is_closed_exits_120(tmp_path, python):
+def test_a_process_whose_stdout_is_closed_exits_120(tmp_path, sample_csv, python):
     # the JSON waits in the stdout buffer until the exit flush, which finds no
     # reader: the interpreter's own teardown exits 120 then, and so does the process
-    (tmp_path / "d.csv").write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
     proc = python(["-m", "breaklab.cli", "test", "--stat", "cusum", "--input", "d.csv"], tmp_path)
     proc.stdout.close()
     err = proc.stderr.read()
@@ -66,10 +54,9 @@ def test_a_process_whose_stdout_is_closed_exits_120(tmp_path, python):
     assert "Broken pipe" in err and "Traceback" not in err
 
 
-def test_a_failed_write_to_standard_output_exits_120(tmp_path, python):
+def test_a_failed_write_to_standard_output_exits_120(tmp_path, sample_csv, python):
     # unbuffered, the JSON goes out at the write itself, which finds no reader:
     # the process ends as a failed exit flush does, with one line and no traceback
-    (tmp_path / "d.csv").write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
     proc = python(["-m", "breaklab.cli", "test", "--stat", "cusum", "--input", "d.csv"], tmp_path,
                   PYTHONUNBUFFERED="1")
     proc.stdout.close()
@@ -79,12 +66,11 @@ def test_a_failed_write_to_standard_output_exits_120(tmp_path, python):
     assert "Broken pipe" in err
 
 
-def test_main_returns_120_when_standard_output_is_closed(tmp_path, monkeypatch, capsys):
-    (tmp_path / "d.csv").write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
+def test_main_returns_120_when_standard_output_is_closed(sample_csv, monkeypatch, capsys):
     closed = io.StringIO()
     closed.close()
     monkeypatch.setattr(sys, "stdout", closed)
-    assert main(["test", "--stat", "cusum", "--input", str(tmp_path / "d.csv")]) == 120
+    assert main(["test", "--stat", "cusum", "--input", str(sample_csv)]) == 120
     assert capsys.readouterr().err.startswith("breaklab: cannot write standard output: ")
 
 
@@ -246,24 +232,31 @@ def test_degenerate_sample_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-def test_non_finite_input_exits_2_and_names_the_row(tmp_path, capfd, bad):
-    rows = [f"{t + 1},{t % 3},1" for t in range(8)]
-    rows[4] = f"5,{bad},1"
-    data = tmp_path / "bad.csv"
-    data.write_text("t,y,x1\n" + "\n".join(rows) + "\n")
-    assert main(["test", "--stat", "cusum", "--input", str(data)]) == 2
+def test_non_finite_input_exits_2_and_names_the_row(sample_csv, capfd, bad):
+    lines = sample_csv.read_text().splitlines()
+    lines[5] = f"5,{bad},1"  # data row 5, after the header
+    sample_csv.write_text("\n".join(lines) + "\n")
+    assert main(["test", "--stat", "cusum", "--input", str(sample_csv)]) == 2
     assert "data row 5" in capfd.readouterr().err
 
 
-@pytest.mark.parametrize("body", ["", "\n", "\n  \n"], ids=["header-only", "blank-line", "blank-lines"])
-def test_a_sample_with_no_data_rows_exits_2_with_one_line_and_no_warning(tmp_path, capfd, body):
+@pytest.mark.parametrize(
+    "body,refusal",
+    [("", "has no data rows\n"), ("\n", "has no data rows\n"), ("\n  \n", "has no data rows\n"),
+     ("# note\n", "could not parse numeric rows: "),
+     ("1,0,1 # x\n2,1,1\n3,2,1\n4,0,1\n", "could not parse numeric rows: ")],
+    ids=["header-only", "blank-line", "blank-lines", "comment-line", "trailing-comment"],
+)
+def test_a_sample_with_no_data_rows_exits_2_with_one_line_and_no_warning(tmp_path, capfd, body, refusal):
+    # the file is read as sample_to_csv writes it: "#" starts no comment, so a comment is no data row
     data = tmp_path / "e.csv"
     data.write_text("t,y,x1\n" + body)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["test", "--stat", "cusum", "--input", str(data)]) == 2
     assert [str(w.message) for w in caught] == []
-    assert capfd.readouterr().err == f"ERROR breaklab: {data}: has no data rows\n"
+    err = capfd.readouterr().err
+    assert err.startswith(f"ERROR breaklab: {data}: {refusal}") and err.count("\n") == 1, err
 
 
 def _experiment_spec(tmp_path, n_reps=100):
@@ -360,30 +353,19 @@ _TABLE = {
         ("table", [_TABLE], "JSON object"),
     ],
 )
-def test_malformed_spec_config_and_table_fields_exit_2(tmp_path, capfd, what, payload, named):
+def test_malformed_spec_config_and_table_fields_exit_2(tmp_path, sample_csv, capfd, what, payload, named):
     path = tmp_path / f"{what}.json"
     path.write_text(json.dumps(payload))
-    out = str(tmp_path / "out.csv")
-    if what == "spec":
-        argv = ["experiment", "--spec", str(path), "--out", out]
-    elif what == "config":
-        argv = ["simulate", "--config", str(path), "--out", out]
-    else:
-        data = tmp_path / "d.csv"
-        data.write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
-        argv = ["test", "--stat", "cusum", "--input", str(data), "--critvals", str(path)]
-    assert main(argv) == 2
+    assert main(reading_argv(what, path, tmp_path / "out.csv", sample_csv)) == 2
     err = capfd.readouterr().err
     assert named in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("field,value", [("meta", "x"), ("levels", 5)])
-def test_table_with_non_object_nested_field_exits_2(tmp_path, capfd, field, value):
+def test_table_with_non_object_nested_field_exits_2(tmp_path, sample_csv, capfd, field, value):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**_TABLE, field: value}))
-    data = tmp_path / "d.csv"
-    data.write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
-    assert main(["test", "--stat", "cusum", "--input", str(data), "--critvals", str(path)]) == 2
+    assert main(["test", "--stat", "cusum", "--input", str(sample_csv), "--critvals", str(path)]) == 2
     err = capfd.readouterr().err
     assert f"'{field}'" in err and "Traceback" not in err
 
@@ -394,14 +376,13 @@ def test_table_with_non_object_nested_field_exits_2(tmp_path, capfd, field, valu
      {"1": 1.36}],
     ids=["duplicate", "nan", "inf", "7", "-1", "0", "1"],
 )
-def test_a_table_level_given_twice_or_outside_0_1_exits_2(tmp_path, capfd, levels):
+def test_a_table_level_given_twice_or_outside_0_1_exits_2(tmp_path, sample_csv, capfd, levels):
     # "0.95" and "0.950" are one level: loading both would drop one quantile unseen
     path = tmp_path / "t.json"
     path.write_text(json.dumps({**_TABLE, "levels": levels}))
-    data = tmp_path / "d.csv"
-    data.write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
     out = tmp_path / "o.json"
-    assert main(["test", "--stat", "cusum", "--input", str(data), "--critvals", str(path), "--out", str(out)]) == 2
+    assert main(["test", "--stat", "cusum", "--input", str(sample_csv), "--critvals", str(path),
+                 "--out", str(out)]) == 2
     err = capfd.readouterr().err
     assert "'levels'" in err and "Traceback" not in err
     assert not out.exists()
@@ -447,7 +428,7 @@ _TYPED_CASES = [
     "what,path,value,refused_as", _TYPED_CASES, ids=[f"{c[0]}-{'.'.join(map(str, c[1]))}-{c[2]!r}" for c in _TYPED_CASES]
 )
 def test_an_integer_field_takes_a_json_integer_and_a_number_field_a_json_number(
-    tmp_path, capfd, what, path, value, refused_as
+    tmp_path, sample_csv, capfd, what, path, value, refused_as
 ):
     # a bool, a numeric string or a fraction is refused, never read as the number it resembles
     payload = json.loads(json.dumps(_TYPED_BASES[what]))
@@ -457,15 +438,7 @@ def test_an_integer_field_takes_a_json_integer_and_a_number_field_a_json_number(
     parent[path[-1]] = value
     inp, out = tmp_path / "in.json", tmp_path / "out"
     inp.write_text(json.dumps(payload))
-    if what == "spec":
-        argv = ["experiment", "--spec", str(inp), "--out", str(out)]
-    elif what == "config":
-        argv = ["simulate", "--config", str(inp), "--out", str(out)]
-    else:
-        data = tmp_path / "d.csv"
-        data.write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
-        argv = ["test", "--stat", "cusum", "--input", str(data), "--critvals", str(inp), "--out", str(out)]
-    code, err = main(argv), capfd.readouterr().err
+    code, err = main(reading_argv(what, inp, out, sample_csv)), capfd.readouterr().err
     assert "Traceback" not in err
     if refused_as is None:
         assert code == 0 and out.exists(), err
@@ -508,9 +481,9 @@ _LUR_TRIMMED = "supabslurcusum takes no trimming: nu must be 0, got 0.3"
          "nan-quantile", "table-steps-1", "duplicate-tables", "supqp-empty-window", "supabsbb-empty-window",
          "table-empty-window", "supabslurcusum-trimmed", "table-supabslurcusum-trimmed"],
 )
-def test_bad_functional_or_table_exits_2_before_any_draw(tmp_path, capfd, monkeypatch, command, arg, named):
-    from breaklab import rng
-
+def test_bad_functional_or_table_exits_2_before_any_draw(
+    tmp_path, sample_csv, capfd, monkeypatch, drawn, command, arg, named
+):
     monkeypatch.chdir(tmp_path)
     if command == "critvals":
         argv = ["critvals", "--reps", "1000", "--steps", "50", *arg, "--out", "t.json"]
@@ -521,15 +494,7 @@ def test_bad_functional_or_table_exits_2_before_any_draw(tmp_path, capfd, monkey
         argv = ["experiment", "--spec", "spec.json", "--out", "out.csv"]
     else:
         (tmp_path / "t.json").write_text(json.dumps(arg))
-        (tmp_path / "d.csv").write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
         argv = ["test", "--stat", "cusum", "--input", "d.csv", "--critvals", "t.json"]
-    drawn = []
-    real_normal_rows = rng.StreamStack.normal_rows
-    monkeypatch.setattr(
-        rng.StreamStack,
-        "normal_rows",
-        lambda self, *args, **kwargs: drawn.append(args) or real_normal_rows(self, *args, **kwargs),
-    )
     assert main(argv) == 2
     err = capfd.readouterr().err
     assert named in err and "Traceback" not in err
@@ -566,23 +531,13 @@ _PLUR = {"family": "predictive_lur", "T": 50}
          "critvals-dir", "spec-dir", "config-dir", "input-dir"],
 )
 def test_non_finite_parameters_and_unusable_files_exit_2_before_any_draw(
-    tmp_path, capfd, monkeypatch, grid, argv, named
+    tmp_path, sample_csv, capfd, monkeypatch, drawn, grid, argv, named
 ):
     # a missing directory "nodir" for outputs, a directory "adir" where a file is read
-    from breaklab import rng
-
     monkeypatch.chdir(tmp_path)
     (tmp_path / "adir").mkdir()
     (tmp_path / "spec.json").write_text(json.dumps({**_SPEC, "dgp_grid": grid or _SPEC["dgp_grid"]}))
-    (tmp_path / "d.csv").write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
     inputs = sorted(p.name for p in tmp_path.iterdir())
-    drawn = []
-    real_normal_rows = rng.StreamStack.normal_rows
-    monkeypatch.setattr(
-        rng.StreamStack,
-        "normal_rows",
-        lambda self, *args, **kwargs: drawn.append(args) or real_normal_rows(self, *args, **kwargs),
-    )
     assert main(argv) == 2
     err = capfd.readouterr().err
     assert named in err and "Traceback" not in err
@@ -605,12 +560,11 @@ def test_log_lines_after_main_go_to_the_current_stderr(tmp_path, capfd, monkeypa
     assert "a later engine line" in err
 
 
-def test_test_does_not_offer_a_registered_statistic(tmp_path, capfd, monkeypatch):
+def test_test_does_not_offer_a_registered_statistic(tmp_path, sample_csv, capfd, monkeypatch):
     # a registered kind has no one-sample outcome: `test` refuses it as any other invalid choice
     from breaklab.break_tests import STAT_RECIPES, register_statistic
 
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "d.csv").write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
     register_statistic("mine", lambda sample, nu, cache: None)
     try:
         assert main(["test", "--stat", "mine", "--input", "d.csv", "--out", "o.json"]) == 1
@@ -631,18 +585,11 @@ def test_test_does_not_offer_a_registered_statistic(tmp_path, capfd, monkeypatch
     ],
     ids=["misspelled-table-source-key", "nan-second-grid-entry"],
 )
-def test_spec_refusals_name_the_key_and_the_grid_entry_before_any_draw(tmp_path, capfd, monkeypatch, spec, named):
-    from breaklab import rng
-
+def test_spec_refusals_name_the_key_and_the_grid_entry_before_any_draw(
+    tmp_path, capfd, monkeypatch, drawn, spec, named
+):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "spec.json").write_text(json.dumps(spec))
-    drawn = []
-    real_normal_rows = rng.StreamStack.normal_rows
-    monkeypatch.setattr(
-        rng.StreamStack,
-        "normal_rows",
-        lambda self, *args, **kwargs: drawn.append(args) or real_normal_rows(self, *args, **kwargs),
-    )
     assert main(_EXPERIMENT) == 2
     err = capfd.readouterr().err
     assert named in err and "Traceback" not in err
@@ -658,22 +605,19 @@ def test_spec_refusals_name_the_key_and_the_grid_entry_before_any_draw(tmp_path,
     ],
     ids=["ar1-coefficient-root", "ar1-c-root"],
 )
-def test_every_autoregressive_root_is_bounded_before_any_draw(tmp_path, capfd, monkeypatch, cell, named):
+def test_every_autoregressive_root_is_bounded_before_any_draw(
+    tmp_path, capfd, monkeypatch, spy, drawn, cell, named
+):
     # ar1 runs its regime coefficients as roots, so they are bounded as c's root is
-    from breaklab import limit_lab, rng
+    from breaklab import limit_lab
 
     monkeypatch.chdir(tmp_path)
     (tmp_path / "spec.json").write_text(json.dumps({**_SPEC, "dgp_grid": [_DGP, cell]}))
-    calls = []
-    for owner, name in ((rng.StreamStack, "normal_rows"), (limit_lab, "tabulate")):
-        real = getattr(owner, name)
-        monkeypatch.setattr(
-            owner, name, lambda *args, real=real, **kwargs: calls.append(args) or real(*args, **kwargs)
-        )
+    tabulated = spy(limit_lab, "tabulate")
     assert main(_EXPERIMENT) == 2
     err = capfd.readouterr().err
     assert f"dgp_grid[1]: {named} autoregressive root" in err and "Traceback" not in err
-    assert calls == []
+    assert drawn == tabulated == []
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -707,25 +651,21 @@ def test_table_level_keys_round_trip_to_ten_digits(tmp_path, capfd):
     ids=["grid-location-c", "simulate-ar1-sigma-eps", "critvals-supabsbb-c", "critvals-cvmp1trace-nu",
          "test-supabsbb-table-c"],
 )
-def test_a_setting_no_draw_reads_exits_2_naming_it_before_any_draw(tmp_path, capfd, monkeypatch, argv, named):
+def test_a_setting_no_draw_reads_exits_2_naming_it_before_any_draw(
+    tmp_path, sample_csv, capfd, monkeypatch, spy, drawn, argv, named
+):
     # a report, sample or table would otherwise name a value its draws never used
-    from breaklab import limit_lab, rng
+    from breaklab import limit_lab
 
     monkeypatch.chdir(tmp_path)
     (tmp_path / "spec.json").write_text(json.dumps({**_SPEC, "dgp_grid": [{**_DGP, "c": -5.0}]}))
     (tmp_path / "bb.json").write_text(json.dumps({**_TABLE, "c": 5.0}))
-    (tmp_path / "d.csv").write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
     inputs = sorted(p.name for p in tmp_path.iterdir())
-    calls = []
-    for owner, name in ((rng.StreamStack, "normal_rows"), (limit_lab, "tabulate")):
-        real = getattr(owner, name)
-        monkeypatch.setattr(
-            owner, name, lambda *args, name=name, real=real, **kwargs: calls.append(name) or real(*args, **kwargs)
-        )
+    tabulated = spy(limit_lab, "tabulate")
     assert main(argv) == 2
     err = capfd.readouterr().err
     assert named in err and "Traceback" not in err
-    assert calls == (["tabulate"] if argv[0] == "critvals" else [])  # critvals checks its functional there
+    assert drawn == [] and len(tabulated) == (argv[0] == "critvals")  # critvals checks its functional there
     assert sorted(p.name for p in tmp_path.iterdir()) == inputs  # no output, sidecar or probe left
 
 
@@ -780,13 +720,13 @@ def test_mu_and_beta_flags_of_one_regime_are_a_usage_error(tmp_path, capfd, regi
     ids=["cusum-on-singular", "zmean-on-singular", "wald-cusumsq-norm", "cusum-cusumsq-norm", "level-no-table",
          "wald-on-singular", "cusumsq-cusumsq-norm", "level-with-table", "defaults-given"],
 )
-def test_test_refuses_a_flag_its_run_does_not_read(tmp_path, capfd, monkeypatch, argv, key, kept):
+def test_test_refuses_a_flag_its_run_does_not_read(tmp_path, sample_csv, capfd, monkeypatch, argv, key, kept):
     # --on-singular is read by wald only, --cusumsq-norm by cusumsq only and --level with --critvals
     # only; any other run refuses a value off the default, naming the flag, before it reads the input
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bb.json").write_text(json.dumps({**_TABLE, "levels": {"0.9": 1.22, "0.95": 1.36}}))
-    if kept is not None:
-        (tmp_path / "d.csv").write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
+    if kept is None:
+        sample_csv.unlink()  # so a run that read the input would name it
     inputs = sorted(p.name for p in tmp_path.iterdir())
     code = main(["test", *argv, "--input", "d.csv", "--out", "o.json", "--path-out", "p.csv"])
     err = capfd.readouterr().err

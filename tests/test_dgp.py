@@ -19,6 +19,7 @@ from breaklab.dgp import (
 )
 from breaklab.errors import DataError, SpecError
 from breaklab.rng import InnovCov, SeedSpec, derive_stream, replication_stream
+from breaklab.schema import MEMORY_BUDGET
 
 
 def _stream(i=0, master=123):
@@ -55,6 +56,17 @@ def test_no_break_encoding_requires_equal_params():
         _spec(s=0.0, params_pre=(0.0,), params_post=(1.0,))
     with pytest.raises(SpecError):
         _spec(s=1.0, params_pre=(0.0,), params_post=(1.0,))
+
+
+@pytest.mark.parametrize("family,p", [("location", 1), ("linear_regression", 3), ("predictive_lur", 2)])
+def test_a_T_whose_replication_overflows_the_memory_budget_is_refused(family, p):
+    # p is the design's column count; nothing is generated here
+    params = (0.0,) * (p if family == "linear_regression" else 1)
+    largest = MEMORY_BUDGET // dgp.replication_bytes(1, p)
+    assert _spec(family=family, T=largest, params_pre=params, params_post=params).design_dim == p
+    for T in (largest + 1, 2**40, 2**64, np.int64(2**62)):  # numpy's int64 arithmetic would wrap at the last
+        with pytest.raises(SpecError, match=f"^T={T} needs {dgp.replication_bytes(int(T), p)} bytes per replication"):
+            _spec(family=family, T=T, params_pre=params, params_post=params)
 
 
 def test_rejects_wildly_explosive_root():

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from breaklab.break_tests import cusum_path
-from breaklab.dgp import DgpSpec, Sample, spec_from_config
+from breaklab.dgp import DgpSpec, spec_from_config
 from breaklab.errors import BreakIndexError, DegenerateSampleError, SingularDesignError
 from breaklab.estimators import (
     OlsFit,
@@ -17,22 +17,18 @@ from breaklab.estimators import (
 )
 from breaklab.dgp import generate
 from breaklab.rng import replication_stream
-
-
-def _intercept_sample(y):
-    y = np.asarray(y, dtype=float)
-    return Sample(y=y, X=np.ones((y.shape[0], 1)))
+from shared import intercept_sample
 
 
 def test_mean_fit_oracle():
-    fit = ols_fit(_intercept_sample([1.0, 2.0, 3.0]))
+    fit = ols_fit(intercept_sample([1.0, 2.0, 3.0]))
     assert_allclose(fit.beta_hat, [2.0], rtol=0, atol=0)
     assert_allclose(fit.residuals, [-1.0, 0.0, 1.0], rtol=0, atol=0)
     assert_allclose(fit.sigma_hat_sq, 2.0 / 3.0, rtol=1e-15)
 
 
 def test_step_sample_oracle():
-    fit = ols_fit(_intercept_sample([0.0, 0.0, 2.0, 2.0]))
+    fit = ols_fit(intercept_sample([0.0, 0.0, 2.0, 2.0]))
     assert_allclose(fit.beta_hat, [1.0], rtol=0, atol=0)
     assert fit.sigma_hat_sq == 1.0
 
@@ -87,7 +83,7 @@ def test_fit_flags_the_rows_the_statistics_are_defined_on():
 # ---------------------------------------------------------------------------
 
 def test_split_fit_regime_means():
-    sf = split_fit(_intercept_sample([0.0, 0.0, 2.0, 2.0]), 2)
+    sf = split_fit(intercept_sample([0.0, 0.0, 2.0, 2.0]), 2)
     assert_allclose(sf.fit_pre.beta_hat, [0.0], rtol=0, atol=0)
     assert_allclose(sf.fit_post.beta_hat, [2.0], rtol=0, atol=0)
     assert_allclose(sf.pooled_null_fit.beta_hat, [1.0], rtol=0, atol=0)
@@ -96,7 +92,7 @@ def test_split_fit_regime_means():
 def test_fit_records_are_json_ready():
     import json
 
-    sf = split_fit(_intercept_sample([0.0, 0.0, 2.0, 2.0]), 2)
+    sf = split_fit(intercept_sample([0.0, 0.0, 2.0, 2.0]), 2)
     record = sf.to_record()
     assert record["k"] == 2
     assert record["pre"]["beta_hat"] == [0.0]
@@ -106,7 +102,7 @@ def test_fit_records_are_json_ready():
 
 
 def test_split_fit_boundary_indices():
-    sample = _intercept_sample([0.0, 1.0, 2.0, 3.0])
+    sample = intercept_sample([0.0, 1.0, 2.0, 3.0])
     split_fit(sample, 1)  # accepted with p = 1
     split_fit(sample, 3)
     with pytest.raises(BreakIndexError):
@@ -133,7 +129,7 @@ def test_pooled_rss_at_least_sum_of_regime_rss():
     rng = np.random.default_rng(2)
     for trial in range(10):
         y = rng.standard_normal(40)
-        sample = _intercept_sample(y)
+        sample = intercept_sample(y)
         sf = split_fit(sample, 13)
         rss_pooled = sf.pooled_null_fit.sigma_hat_sq * 40
         rss_regimes = (
@@ -157,7 +153,7 @@ def test_orthogonal_split_identity_exact():
 # ---------------------------------------------------------------------------
 
 def test_partial_sums_oracle():
-    fit = ols_fit(_intercept_sample([0.0, 0.0, 2.0, 2.0]))
+    fit = ols_fit(intercept_sample([0.0, 0.0, 2.0, 2.0]))
     sums = residual_partial_sums(fit)
     assert_allclose(sums[:, 0], [-1.0, -2.0, -1.0, 0.0], rtol=0, atol=0)
 
@@ -166,7 +162,7 @@ def test_partial_sums_end_at_zero_with_intercept():
     rng = np.random.default_rng(3)
     for trial in range(10):
         y = rng.standard_normal(30) * 5
-        fit = ols_fit(_intercept_sample(y))
+        fit = ols_fit(intercept_sample(y))
         sums = residual_partial_sums(fit)
         assert abs(sums[-1, 0]) <= 1e-8 * np.linalg.norm(y)
 
@@ -179,7 +175,7 @@ def test_partial_sums_zero_for_perfect_fit():
 
 
 def test_partial_sum_covariance_oracle():
-    fit = ols_fit(_intercept_sample([0.0, 0.0, 2.0, 2.0]))
+    fit = ols_fit(intercept_sample([0.0, 0.0, 2.0, 2.0]))
     assert_allclose(partial_sum_covariance(fit), [[0.375]], rtol=0, atol=0)
 
 
@@ -206,8 +202,8 @@ def test_partial_sum_covariance_psd_and_symmetric():
 
 def test_partial_sum_covariance_sign_invariant():
     y = np.array([0.4, -1.2, 3.0, 0.1, -0.4, 2.2])
-    fit_a = ols_fit(_intercept_sample(y))
-    fit_b = ols_fit(_intercept_sample(-y))
+    fit_a = ols_fit(intercept_sample(y))
+    fit_b = ols_fit(intercept_sample(-y))
     assert_allclose(
         partial_sum_covariance(fit_a), partial_sum_covariance(fit_b), rtol=1e-12
     )

@@ -2,6 +2,7 @@
 
 import json
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -115,20 +116,15 @@ def test_experiment_config_must_be_an_object():
         experiment_from_config([experiment_to_config(_small_spec())])
 
 
-def test_a_cell_with_no_candidate_split_is_refused_before_any_draw(tmp_path, capfd, monkeypatch):
+def test_a_cell_with_no_candidate_split_is_refused_before_any_draw(tmp_path, capfd, spy, drawn):
     # T=5 with p=3 leaves no split k with p <= k <= T - p at any trimming
-    from breaklab import limit_lab, rng
+    from breaklab import limit_lab
     from breaklab.cli import main
 
     cell = {"family": "linear_regression", "T": 5, "beta_pre": [1.0, 0.5, 0.2]}
     with pytest.raises(SpecError, match="no candidate break indices for T=5, p=3"):
         _small_spec(dgp_grid=(_location_null(), spec_from_config(cell)))
-    calls = []
-    real_tabulate, real_normal_rows = limit_lab.tabulate, rng.StreamStack.normal_rows
-    monkeypatch.setattr(limit_lab, "tabulate", lambda *a, **k: calls.append("tabulate") or real_tabulate(*a, **k))
-    monkeypatch.setattr(
-        rng.StreamStack, "normal_rows", lambda *a, **k: calls.append("normal_rows") or real_normal_rows(*a, **k)
-    )
+    tabulated = spy(limit_lab, "tabulate")
     cfg = experiment_to_config(_small_spec(stat_kinds=("cusum", "wald")))
     cfg["dgp_grid"].append(cell)
     (tmp_path / "spec.json").write_text(json.dumps(cfg))
@@ -136,7 +132,7 @@ def test_a_cell_with_no_candidate_split_is_refused_before_any_draw(tmp_path, cap
     assert main(["experiment", "--spec", str(tmp_path / "spec.json"), "--out", str(out)]) == 2
     err = capfd.readouterr().err
     assert "T=5, p=3" in err and "Traceback" not in err
-    assert calls == [] and not out.exists()
+    assert drawn == tabulated == [] and not out.exists()
 
 
 def test_an_infeasible_cell_is_named_by_grid_index_family_and_statistic(tmp_path, capfd):
@@ -170,11 +166,11 @@ def test_an_infeasible_cell_is_named_by_grid_index_family_and_statistic(tmp_path
     ids=["location", "linear-regression-p1", "linear-regression-p2", "cointegration", "predictive-lur", "ar1"],
 )
 def test_zmean_is_refused_on_a_cell_whose_design_is_not_intercept_only(
-    tmp_path, capfd, monkeypatch, cell, intercept_only
+    tmp_path, capfd, spy, drawn, cell, intercept_only
 ):
     # zmean is defined on the single all-ones column alone: any other design is refused
     # by its grid entry before any table or draw, rather than failing every replication
-    from breaklab import limit_lab, rng
+    from breaklab import limit_lab
     from breaklab.cli import main
 
     dspec = spec_from_config(cell)
@@ -183,12 +179,8 @@ def test_zmean_is_refused_on_a_cell_whose_design_is_not_intercept_only(
     if intercept_only:
         _small_spec(dgp_grid=(dspec,), stat_kinds=("zmean", "cusum"))
         return
-    calls = []
-    for owner, name in ((rng.StreamStack, "normal_rows"), (limit_lab, "tabulate")):
-        real = getattr(owner, name)
-        monkeypatch.setattr(
-            owner, name, lambda *args, real=real, **kwargs: calls.append(args) or real(*args, **kwargs)
-        )
+    drawn.clear()  # the sample generated above is no draw of the run
+    tabulated = spy(limit_lab, "tabulate")
     cfg = experiment_to_config(_small_spec(stat_kinds=("zmean", "cusum")))
     cfg["dgp_grid"].append(cell)
     (tmp_path / "spec.json").write_text(json.dumps(cfg))
@@ -196,7 +188,7 @@ def test_zmean_is_refused_on_a_cell_whose_design_is_not_intercept_only(
     assert main(["experiment", "--spec", str(tmp_path / "spec.json"), "--out", str(out)]) == 2
     err = capfd.readouterr().err
     assert f"dgp_grid[1] ({cell['family']}, T=60) with zmean: statistic requires the intercept-only model" in err
-    assert calls == [] and not out.exists()
+    assert drawn == tabulated == [] and not out.exists()
 
 
 def test_per_stat_default_trimming():
@@ -259,20 +251,12 @@ def test_missing_table_level_fails_before_any_replication(tmp_path, monkeypatch)
     assert generated == []
 
 
-def test_missing_table_level_fails_before_any_stacked_draw(tmp_path, monkeypatch):
-    from breaklab import rng
-
+def test_missing_table_level_fails_before_any_stacked_draw(tmp_path, drawn):
     table = tabulate("supabsbb", [0.90], 1000, n_steps=200, master_seed=1)
     path = tmp_path / "bb.json"
     save_table(table, path)
     spec = _small_spec(table_source=TableSource(mode="precomputed", paths=(str(path),)))
-    drawn = []
-    real_normal_rows = rng.StreamStack.normal_rows
-    monkeypatch.setattr(
-        rng.StreamStack,
-        "normal_rows",
-        lambda self, *args, **kwargs: drawn.append(self) or real_normal_rows(self, *args, **kwargs),
-    )
+    drawn.clear()  # the table's own draws
     with pytest.raises(TableLookupError, match="level 0.95"):
         run_experiment(spec)
     assert drawn == []
@@ -281,7 +265,7 @@ def test_missing_table_level_fails_before_any_stacked_draw(tmp_path, monkeypatch
     save_table(table, path)
     drawn.clear()
     run_experiment(spec)
-    assert [stack.stream_ids for stack in drawn] == [range(0, 200)]
+    assert [call.args[0].stream_ids for call in drawn] == [range(0, 200)]
 
 
 def _two_design_spec(n_reps, n_steps):
@@ -291,21 +275,16 @@ def _two_design_spec(n_reps, n_steps):
                        table_source=TableSource(mode="inline", n_reps=n_reps, n_steps=n_steps))
 
 
-def test_inline_tables_are_drawn_once_at_the_widest_shape(monkeypatch):
-    from breaklab import limit_lab, rng
+def test_inline_tables_are_drawn_once_at_the_widest_shape(monkeypatch, drawn):
+    from breaklab import limit_lab
 
     spec = _two_design_spec(1500, 200)
     alone = {key: tabulate(key[0], [0.95], 1500, n_steps=200, master_seed=11, p=key[1], nu=key[2])
              for key in required_table_keys(spec)}
-    drawn = []
-    real_normal_rows = rng.StreamStack.normal_rows
-    monkeypatch.setattr(
-        rng.StreamStack, "normal_rows",
-        lambda self, *args, **kwargs: drawn.append((args, kwargs)) or real_normal_rows(self, *args, **kwargs),
-    )
+    drawn.clear()  # the tables drawn alone
     monkeypatch.setattr(limit_lab, "_BLOCK_BYTES", 8 * 2 * 200 * 400)  # 400 draws of the widest shape
     assert resolve_tables(spec) == alone
-    assert drawn == [(((2, 200),), {})] * 4  # ceil(1500 / 400), each shared by the three keys
+    assert drawn == [mock.call(mock.ANY, (2, 200))] * 4  # ceil(1500 / 400), each shared by the three keys
 
 
 def test_inline_table_memory_is_bounded_by_the_block_budget():
@@ -607,18 +586,9 @@ def test_paths_sample_dump(tmp_path):
     assert len(lines) == 1 + 3 * (k_hi - k_lo + 1)
 
 
-def test_inline_table_keys_are_all_checked_before_any_is_drawn(monkeypatch):
+def test_inline_table_keys_are_all_checked_before_any_is_drawn(drawn):
     # nu = 0 suits the cusum's supabsbb table, which sorts first, but not the
     # wald's supqp table: the spec fails on supqp before supabsbb is drawn
-    from breaklab import rng
-
-    drawn = []
-    real_normal_rows = rng.StreamStack.normal_rows
-    monkeypatch.setattr(
-        rng.StreamStack,
-        "normal_rows",
-        lambda self, *args, **kwargs: drawn.append(args) or real_normal_rows(self, *args, **kwargs),
-    )
     spec = _small_spec(stat_kinds=("cusum", "wald"), nu=0.0)
     with pytest.raises(SpecError, match="supqp"):
         run_experiment(spec)

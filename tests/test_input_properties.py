@@ -20,6 +20,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from breaklab.cli import main
+from shared import reading_argv
 
 PROPERTY = settings(max_examples=500, deadline=None, derandomize=True, database=None)
 
@@ -125,21 +126,15 @@ def _finite_output(what, path):
 def test_one_perturbed_field_exits_2_naming_it_or_0_with_finite_output(case):
     what, payload, field = case
     with tempfile.TemporaryDirectory() as tmp:
-        inp, out = os.path.join(tmp, "in.json"), os.path.join(tmp, "out")
+        inp, out, data = (os.path.join(tmp, name) for name in ("in.json", "out", "d.csv"))
         with open(inp, "w") as fh:
             json.dump(payload, fh)
-        if what == "spec":
-            argv = ["experiment", "--spec", inp, "--out", out]
-        elif what == "config":
-            argv = ["simulate", "--config", inp, "--out", out]
-        else:
-            data = os.path.join(tmp, "d.csv")
+        if what == "table":
             with open(data, "w") as fh:
                 fh.write(SAMPLE)
-            argv = ["test", "--stat", "cusum", "--input", data, "--critvals", inp, "--out", out]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = main(argv)
+            code = main(reading_argv(what, inp, out, data))
         err = err.getvalue()
         event(f"{what} exits {code}")
         assert code in (0, 2), err

@@ -15,6 +15,7 @@ from breaklab.kernels import (
 )
 from breaklab.limit_lab import FUNCTIONAL_KINDS, _cvm_from_increments, _draw_block, _draw_one
 from breaklab.rng import limit_draw_stream
+from shared import wald_by_refits
 
 # ---------------------------------------------------------------------------
 # ar1_path
@@ -124,19 +125,6 @@ def test_ldl_contract_on_nan_inf_and_floor_pivots():
 # wald_scan
 # ---------------------------------------------------------------------------
 
-def _wald_refit(X, y, k_lo, k_hi, sigma2):
-    vals = []
-    for k in range(k_lo, k_hi + 1):
-        g1 = X[:k].T @ X[:k]
-        g2 = X[k:].T @ X[k:]
-        th1 = np.linalg.solve(g1, X[:k].T @ y[:k])
-        th2 = np.linalg.solve(g2, X[k:].T @ y[k:])
-        d = th1 - th2
-        middle = np.linalg.inv(np.linalg.inv(g1) + np.linalg.inv(g2))
-        vals.append(d @ middle @ d / sigma2)
-    return np.array(vals)
-
-
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_wald_scan_matches_per_k_refits(p):
     rng = np.random.default_rng(100 + p)
@@ -148,7 +136,7 @@ def test_wald_scan_matches_per_k_refits(p):
     k_lo, k_hi = p, T - p
     vals, ok = wald_scan(X, y, k_lo, k_hi, sigma2)
     assert ok.all()
-    assert_allclose(vals, _wald_refit(X, y, k_lo, k_hi, sigma2), rtol=1e-10)
+    assert_allclose(vals, wald_by_refits(X, y, k_lo, k_hi, sigma2), rtol=1e-10)
 
 
 def test_wald_scan_flags_singular_regimes():

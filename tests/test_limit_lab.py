@@ -20,6 +20,7 @@ from breaklab.limit_lab import (
     _cvm_from_increments,
     _draw_block,
     _draw_blocks,
+    check_functional,
     load_table,
     save_table,
     simulate_bridge,
@@ -33,22 +34,8 @@ from breaklab.limit_lab import (
     tabulate,
 )
 from breaklab.rng import SeedSpec, derive_stream, limit_draw_stream
-
-
-def kolmogorov_sf(x, terms=100):
-    """P(sup |bridge| > x) by the alternating exponential series."""
-    j = np.arange(1, terms + 1)
-    return float(2.0 * np.sum((-1.0) ** (j - 1) * np.exp(-2.0 * j * j * x * x)))
-
-
-def kolmogorov_quantile(level, lo=0.5, hi=3.0):
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if kolmogorov_sf(mid) > 1.0 - level:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+from breaklab.schema import MEMORY_BUDGET
+from shared import kolmogorov_quantile
 
 
 def test_kolmogorov_oracle_matches_reference():
@@ -328,6 +315,20 @@ def test_tabulate_validates_inputs():
         tabulate("supabsbb", [1.5], 1000)
     with pytest.raises(SpecError):
         tabulate("supabslurcusum", [0.95], 1000)  # missing c
+
+
+@pytest.mark.parametrize(
+    "kind,p,nu,c,rows",
+    [("supabsbb", 1, 0.0, None, 1), ("cvmp1trace", 1, 0.0, None, 1), ("supqp", 3, 0.15, None, 3),
+     ("supabslurcusum", 1, 0.0, -5.0, 2)],
+)
+def test_an_n_steps_whose_one_draw_overflows_the_memory_budget_is_refused(kind, p, nu, c, rows):
+    # a sub-block of one draw holds its normals and a workspace of twice their size; nothing is drawn here
+    largest = MEMORY_BUDGET // (3 * 8 * rows)
+    assert check_functional(kind, largest, p, nu, c)[0][-1] == largest
+    for n_steps in (largest + 1, 2**40, 2**64, np.int64(2**62)):  # numpy's int64 arithmetic would wrap at the last
+        with pytest.raises(SpecError, match=f"^n_steps={n_steps} needs {3 * 8 * rows * int(n_steps)} bytes "):
+            check_functional(kind, n_steps, p, nu, c)
 
 
 def test_tabulate_quantiles_monotone_and_deterministic():

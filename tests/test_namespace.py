@@ -2,9 +2,6 @@
 defines, whether it was loaded by name, by ``dir`` or by ``import *``."""
 
 import importlib
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -68,14 +65,13 @@ def test_an_unknown_name_raises_attribute_error():
     assert breaklab.__version__ == "0.1.0"
 
 
-def test_a_submodule_resolves_after_a_bare_import():
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+def test_a_submodule_resolves_after_a_bare_import(python):
     code = (
         "import sys, breaklab\n"
         "assert 'breaklab.experiments' not in sys.modules\n"
         "assert breaklab.experiments is sys.modules['breaklab.experiments']\n"
         "assert breaklab.TableSource is breaklab.experiments.TableSource\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
+    proc = python(["-c", code])
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err

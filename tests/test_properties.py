@@ -16,6 +16,7 @@ from breaklab.estimators import fit_xy, ols_fit
 from breaklab.experiments import _run_cells, _run_chunk
 from breaklab.kernels import wald_scan
 from breaklab.rng import replication_stream
+from shared import wald_by_refits
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -276,17 +277,6 @@ def test_block_failures_stay_in_their_row():
     assert np.isnan(wald.path[2:]).all() and wald.argmax_k[2:].tolist() == [-1, -1]
 
 
-def _wald_by_refits(X, y, k_lo, k_hi, sigma2):
-    """W(k) from separate regime estimates and the textbook middle matrix."""
-    vals = []
-    for k in range(k_lo, k_hi + 1):
-        g1, g2 = X[:k].T @ X[:k], X[k:].T @ X[k:]
-        d = np.linalg.solve(g1, X[:k].T @ y[:k]) - np.linalg.solve(g2, X[k:].T @ y[k:])
-        middle = np.linalg.inv(np.linalg.inv(g1) + np.linalg.inv(g2))
-        vals.append(d @ middle @ d / sigma2)
-    return np.array(vals)
-
-
 @PROPERTY
 @given(
     p=st.sampled_from([1, 2, 3]),
@@ -300,7 +290,7 @@ def test_wald_identity_matches_per_k_refits(p, T, seed, scale):
     y = scale * (X @ rng.standard_normal(p) + rng.standard_normal(T))
     fit = fit_xy(X, y)
     k_lo, k_hi = break_tests.scan_range(T, p, 0.1)
-    want = _wald_by_refits(X, y, k_lo, k_hi, fit.sigma_hat_sq)
+    want = wald_by_refits(X, y, k_lo, k_hi, fit.sigma_hat_sq)
     for response in (y, fit.residuals):
         vals, ok = wald_scan(X, response, k_lo, k_hi, fit.sigma_hat_sq)
         assert ok.all()

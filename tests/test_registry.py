@@ -26,8 +26,8 @@ DESIGNS = {
 }
 
 
-# zmean is defined on the intercept-only design alone; on a wider design
-# every replication fails, so no outcome of it is ever decided there
+# zmean is defined on the intercept-only design alone; a spec refuses it on a
+# wider design before any draw, so no outcome of it is ever decided there
 @pytest.mark.parametrize(
     "kind,design_dim", [(k, d) for k in OUTCOMES for d in DESIGNS if (k, d) != ("zmean", 2)]
 )

@@ -110,8 +110,7 @@ def test_a_c_major_grid_reports_the_rows_of_one_cell_runs(cli, tmp_path):
     ],
     ids=["unread-flag", "directory-as-table", "report-in-missing-directory"],
 )
-def test_a_refused_run_exits_2_and_leaves_no_output(cli, tmp_path, argv, named):
-    (tmp_path / "d.csv").write_text("t,y,x1\n" + "\n".join(f"{t + 1},{t % 3},1" for t in range(8)) + "\n")
+def test_a_refused_run_exits_2_and_leaves_no_output(cli, tmp_path, sample_csv, argv, named):
     (tmp_path / "spec.json").write_text(json.dumps({"n_reps": 100, "stat_kinds": ["cusum"], "dgp_grid": GRID[:1]}))
     _, err = cli(argv, tmp_path, code=2)
     assert named in err and "Traceback" not in err
