@@ -459,10 +459,10 @@ def sample_to_csv(sample, path):
 def sample_from_csv(path):
     """Read a sample written by :func:`sample_to_csv` (truth is not stored).
 
-    Rejects a file with no data rows, any row that is not comma-separated
-    numbers (``#`` starts no comment), and ``nan``/``inf`` in y or X with a
-    :class:`DataError` naming the first such data row (1-based, header
-    excluded).
+    Rejects a file with no data rows, an empty line after the header, any
+    row that is not comma-separated numbers (``#`` starts no comment), and
+    ``nan``/``inf`` in y or X with a :class:`DataError` naming the first such
+    data row (1-based, header excluded).
     """
     with opened(path, "input") as fh:
         header = fh.readline().strip()
@@ -474,8 +474,11 @@ def sample_from_csv(path):
         rows = fh.read()
     if not rows.strip():
         raise DataError(f"{path}: has no data rows")
+    lines = rows.splitlines()
+    if "" in lines:  # sample_to_csv writes none, and np.loadtxt would skip it and misnumber the rows after it
+        raise DataError(f"{path}: data row {lines.index('') + 1} is an empty line")
     try:
-        data = np.loadtxt(rows.splitlines(), delimiter=",", ndmin=2, comments=None)
+        data = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
     except ValueError as exc:
         raise DataError(f"{path}: could not parse numeric rows: {exc}") from exc
     if data.shape[1] != len(cols):

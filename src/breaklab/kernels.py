@@ -7,7 +7,8 @@ of series or small problems and treat every stacked one independently, so a
 result never depends on what else was stacked with it.  Kernels never write
 their inputs.  The limit kernels and the recursion take their scratch from a
 keyword-only ``out`` array or ``work`` pair of flat buffers if given, with
-the same bits, so tabulation reuses one workspace across its sub-blocks.
+the same bits: tabulation reduces its draws in row tiles, each inside one
+``work`` pair sized to a tile and reused by every tile of the tabulation.
 """
 
 import numpy as np
@@ -273,28 +274,43 @@ def ou_step(c, dt):
     return decay, lam
 
 
-def lur_cusum_sup(dbe, dbu, c, *, work=None):
+def lagged_ou(dbu, c, *, out=None):
+    """Per-row mean-reverting process J driven by ``dbu`` (draws, n) with
+    :func:`ou_step`'s exact decay, at the left endpoints 0, 1/n, ..., (n-1)/n,
+    so J starts at 0; into ``out``, of the shape of ``dbu``, if given."""
+    n = dbu.shape[-1]
+    decay, lam = ou_step(float(c), 1.0 / n)
+    j_prev = np.empty(dbu.shape) if out is None else out
+    j_prev[:, 0] = 0.0
+    ar1_path(np.multiply(lam, dbu[:, :-1], out=j_prev[:, 1:]), decay, out=j_prev[:, 1:])
+    return j_prev
+
+
+def lur_cusum_sup(dbe, dbu, c, *, work=None, j_prev=None):
     """Per-row sup of the persistence-contaminated bridge functional.
 
     ``dbe``/``dbu`` are (draws, n) Brownian increments (already scaled by
     sqrt(dt) and carrying any cross-correlation), rows not necessarily
     adjacent.  The mean-reverting process is driven by ``dbu`` with exact
     one-step decay, and all stochastic integrals use left-endpoint sums.
+    ``j_prev`` is that process as :func:`lagged_ou` gives it, of any strides,
+    if the caller has it; otherwise it is computed here.  Besides it the
+    kernel needs three arrays of the shape of ``dbe``: the correction and the
+    bridge from the first buffer of ``work``, one temporary from the second.
     """
     dbe = np.asarray(dbe, dtype=np.float64)
     dbu = np.asarray(dbu, dtype=np.float64)
     B, n = dbe.shape
     dt = 1.0 / n
-    decay, lam = ou_step(float(c), dt)
-    (j_prev, correction), (path, tmp) = carve(work, (2, *dbe.shape), (2, *dbe.shape))
-    j_prev[:, 0] = 0.0
-    ar1_path(np.multiply(lam, dbu[:, :-1], out=j_prev[:, 1:]), decay, out=j_prev[:, 1:])
+    if j_prev is None:
+        j_prev = lagged_ou(dbu, c)
+    (correction, path), tmp = carve(work, (2, *dbe.shape), dbe.shape)
     int_jsq = np.maximum(np.sum(np.multiply(j_prev, j_prev, out=tmp), axis=1) * dt, 1e-300)
     np.cumsum(np.multiply(j_prev, dbu, out=correction), axis=1, out=correction)
     correction /= int_jsq[:, None]
-    np.cumsum(j_prev, axis=1, out=j_prev)
-    j_prev *= dt
-    correction *= j_prev
+    np.cumsum(j_prev, axis=1, out=tmp)  # the running integral of J, in tmp: j_prev is only read
+    tmp *= dt
+    correction *= tmp
     bridge_in_place(np.cumsum(dbe, axis=1, out=path), tmp)
     path -= bridge_in_place(correction, tmp)
     return np.abs(path, out=path).max(axis=1)

@@ -21,10 +21,13 @@ batching or scheduling.  Draw i of every kind reads stream i's normals from
 their start, so the draw shape of one kind is a prefix of another's: several
 functionals at one grid (an experiment's inline tables) are drawn together,
 each reducing its prefix of one shared draw, with the same draws as alone.
-Draws come in cache-sized blocks of at most ``_BLOCK_BYTES`` of normals,
-each reduced to its draws while still in cache inside one workspace of two
-budgets allocated once per tabulation.  So memory stays at about three
-budgets, the normals plus the workspace, whatever the number of draws or
+Draws come in sub-blocks of at most ``_BLOCK_BYTES`` of normals, each
+reduced to its draws in row tiles of at most ``_TILE_BYTES`` of normals, so
+a tile and its scratch stay in one core's L2 cache.  The scratch is one
+workspace sized to a tile and allocated once per tabulation; supabslurcusum
+adds the path of its mean-reverting regressor over one sub-block, half its
+normals.  So memory stays at about one budget of normals plus tile scratch
+(one and a half budgets for supabslurcusum), whatever the number of draws or
 functionals.
 """
 
@@ -49,8 +52,11 @@ _UNREAD = {"nu": (0.0, "takes no trimming: nu must be 0"), "c": (None, "takes no
 #: default grid resolution for tabulation
 DEFAULT_N_STEPS = 2000
 
-#: bytes of standard normals drawn and reduced at once during tabulation
+#: bytes of standard normals drawn at once during tabulation
 _BLOCK_BYTES = 4 << 20
+
+#: bytes of a sub-block's normals reduced at once, so a tile and its scratch fit in one core's L2 cache
+_TILE_BYTES = 256 << 10
 
 
 @dataclass
@@ -118,7 +124,8 @@ def check_functional(kind, n_steps, p, nu, c=None, corr=None):
     if p < 1:
         raise SpecError(f"dimension p must be >= 1, got {p}")
     shape = {"supqp": (p, n_steps), "supabslurcusum": (2, n_steps)}.get(kind, (n_steps,))
-    # a sub-block of one draw (_draw_blocks): its normals and their _workspace, in Python ints that cannot wrap
+    # a sub-block of one draw (_draw_blocks): its normals and their _workspace, in Python ints that cannot wrap;
+    # supabslurcusum's regressor path and three arrays of scratch are 1.5 times its normals too
     size = 3 * 8 * math.prod(map(int, shape))
     if size > MEMORY_BUDGET:
         raise SpecError(f"n_steps={n_steps} needs {size} bytes per {kind} draw of shape {shape}, "
@@ -147,9 +154,20 @@ def _window(nu, n_steps):
     return max(math.ceil(nu * n_steps - 1e-9), 1), min(math.floor((1.0 - nu) * n_steps + 1e-9), n_steps - 1)
 
 
-def _workspace(rows, shape):
-    """Scratch for any reduction of ``rows`` draws of ``shape``: two flat budgets, each the size of the normals."""
-    return np.empty(rows * math.prod(shape)), np.empty(rows * math.prod(shape))
+def _workspace(kinds, rows, shape):
+    """Scratch for reducing sub-blocks of at most ``rows`` draws of ``shape`` by each of ``kinds``.
+
+    Returns ``(tile, work, path)``: the draws per row tile, a kernel's ``work`` pair of flat
+    buffers sized to one tile, and for supabslurcusum a flat buffer for its regressor's path
+    over a sub-block (None without it).  supabslurcusum is tabulated alone, and besides the path
+    its kernel needs only three half-tiles, so its second buffer is half a tile.  Every
+    sub-block and functional reuses them.
+    """
+    tile = max(1, min(rows, _TILE_BYTES // (8 * math.prod(shape))))
+    size = tile * math.prod(shape)
+    if "supabslurcusum" not in kinds:
+        return tile, (np.empty(size), np.empty(size)), None
+    return tile, (np.empty(size), np.empty(size // 2)), np.empty(rows * shape[-1])
 
 
 def _reduce(kind, z, nu, c, corr, work):
@@ -157,27 +175,34 @@ def _reduce(kind, z, nu, c, corr, work):
 
     ``z`` may be a strided prefix view of a wider shared draw, so every kind only reads it, except
     supabslurcusum, which forms its motions in place in ``z`` and so is only given a draw it owns.
-    It reduces inside ``work``, a :func:`_workspace` at least as large as ``z``.  Kernels are
-    looked up on :mod:`kernels` at each call, so tracing can wrap them; ``work`` goes by keyword.
+    ``work`` is a :func:`_workspace` for sub-blocks of at least ``len(z)`` draws of a shape at
+    least as large as ``z``'s, and each kernel reduces one row tile at a time inside its tile
+    buffers.  supabslurcusum first runs the recursion of its regressor over all of ``z`` into
+    the path buffer, because a step costs about the same whatever the number of rows, and then
+    hands each tile its rows of the path.  Kernels are looked up on :mod:`kernels` at each
+    call, so tracing can wrap them; ``work`` and the regressor path go by keyword.
     """
+    tile, work, path = work
+    tiles = [slice(lo, lo + tile) for lo in range(0, len(z), tile)]
     n_steps = z.shape[-1]
-    if kind == "supabsbb":
-        return kernels.bridge_sup(z, *_window(nu, n_steps), work=work)
-    if kind == "supqp":
-        return kernels.qp_sup(z, *_window(nu, n_steps), work=work)
     if kind == "supabslurcusum":
         # error and regressor motions with correlation corr, scaled by sqrt(dt), formed in place in z
         dbe, dbu = z[:, 0], z[:, 1]
+        path = path[: dbe.size].reshape(dbe.shape)
         dbu *= math.sqrt(1.0 - corr * corr)
-        dbu += np.multiply(corr, dbe, out=kernels.carve(work, dbe.shape)[0])
+        dbu += np.multiply(corr, dbe, out=path)
         z *= math.sqrt(1.0 / n_steps)
-        return kernels.lur_cusum_sup(dbe, dbu, c, work=work)
-    return _cvm_from_increments(z, work)
+        kernels.lagged_ou(dbu, c, out=path)
+        return np.concatenate([kernels.lur_cusum_sup(dbe[t], dbu[t], c, work=work, j_prev=path[t]) for t in tiles])
+    if kind == "cvmp1trace":
+        return np.concatenate([_cvm_from_increments(z[t], work) for t in tiles])
+    sup = kernels.bridge_sup if kind == "supabsbb" else kernels.qp_sup
+    return np.concatenate([sup(z[t], *_window(nu, n_steps), work=work) for t in tiles])
 
 
 def _draw_one(kind, stream, n_steps, p=1, nu=0.0, c=None, corr=None):
     shape, (n_steps, p, nu, c, corr) = check_functional(kind, n_steps, p, nu, c, corr)
-    return float(_reduce(kind, stream.standard_normal((1, *shape)), nu, c, corr, _workspace(1, shape))[0])
+    return float(_reduce(kind, stream.standard_normal((1, *shape)), nu, c, corr, _workspace([kind], 1, shape))[0])
 
 
 def simulate_bridge(n_steps, stream):
@@ -294,13 +319,14 @@ def _draw_blocks(functionals, master_seed, lo, hi, n_steps):
     """Draws lo..hi-1 of each functional ``(kind, p, nu, c, corr)``, from one shared draw.
 
     Each sub-block of at most ``_BLOCK_BYTES`` draws its normals once, at the shape with the
-    most rows, and each functional reduces its prefix of every row, bit for bit its own draw.
-    With several functionals the draw is read-only, so none may overwrite it.
+    most rows, and each functional reduces its prefix of every row, bit for bit its own draw,
+    in row tiles of at most ``_TILE_BYTES`` inside one :func:`_workspace`.  With several
+    functionals the draw is read-only, so none may overwrite it.
     """
     checked = [check_functional(kind, n_steps, p, nu, c, corr) for kind, p, nu, c, corr in functionals]
     shape = max((own for own, _ in checked), key=math.prod)
     rows = max(1, min(hi - lo, _BLOCK_BYTES // (8 * math.prod(shape))))
-    work = _workspace(rows, shape)  # reused by every sub-block and functional
+    work = _workspace([kind for kind, *_ in functionals], rows, shape)  # reused by every sub-block and functional
     draws = [np.empty(hi - lo) for _ in functionals]
     for start in range(lo, hi, rows):
         z = limit_draw_stream(master_seed, range(start, min(start + rows, hi))).normal_rows(shape)

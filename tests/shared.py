@@ -4,9 +4,25 @@ suite checks breaklab against, and the inputs several test modules build.
 Plain functions, so a hypothesis test may call them as well as any other test.
 """
 
+import tracemalloc
+
 import numpy as np
 
 from breaklab.dgp import Sample
+
+#: bytes a 4096-draw tabulation may hold besides its normals and scratch: the draws
+#: (32 KiB a functional) and everything small
+TABULATION_ALLOWANCE = 256 << 10
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes that tracemalloc sees allocated while ``fn(*args, **kwargs)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def kolmogorov_sf(x, terms=100):

@@ -19,7 +19,6 @@ from scipy import stats
 from breaklab.break_tests import cusum_path, wald_path, z_mean_path
 from breaklab.cli import main as cli_main
 from breaklab.dgp import DgpSpec, generate, sample_from_csv
-from breaklab.errors import BreakLabError
 from breaklab.estimators import ols_fit, partial_sum_covariance, residual_partial_sums
 from breaklab.experiments import (
     ExperimentSpec,

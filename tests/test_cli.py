@@ -259,6 +259,15 @@ def test_a_sample_with_no_data_rows_exits_2_with_one_line_and_no_warning(tmp_pat
     assert err.startswith(f"ERROR breaklab: {data}: {refusal}") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("third", ["3,nan,1", "3,2,1"], ids=["then-a-nan-row", "then-finite-rows"])
+def test_an_empty_line_between_data_rows_exits_2_and_names_that_line(tmp_path, capfd, third):
+    # sample_to_csv writes no empty line; skipped, it would shift the row a later refusal names
+    data = tmp_path / "e.csv"
+    data.write_text(f"t,y,x1\n1,0,1\n\n{third}\n4,1,1\n")
+    assert main(["test", "--stat", "cusum", "--input", str(data)]) == 2
+    assert capfd.readouterr().err == f"ERROR breaklab: {data}: data row 2 is an empty line\n"
+
+
 def _experiment_spec(tmp_path, n_reps=100):
     spec = {
         "master_seed": 5,

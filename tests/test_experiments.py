@@ -26,7 +26,8 @@ from breaklab.experiments import (
     paths_to_csv,
 )
 from breaklab.limit_lab import save_table, tabulate
-from breaklab.rng import InnovCov, replication_stream
+from breaklab.rng import replication_stream
+from shared import TABULATION_ALLOWANCE, traced_peak
 
 
 def _location_null(T=60):
@@ -302,6 +303,14 @@ def test_inline_table_memory_is_bounded_by_the_block_budget():
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * limit_lab._BLOCK_BYTES
+
+
+def test_inline_tables_hold_one_budget_of_normals_plus_tile_scratch():
+    # the shared draw of every key and one workspace of tile scratch, whatever the number of keys
+    from breaklab import limit_lab
+
+    bound = limit_lab._BLOCK_BYTES + 3 * limit_lab._TILE_BYTES + TABULATION_ALLOWANCE
+    assert traced_peak(resolve_tables, _two_design_spec(4096, 2000)) < bound
 
 
 @pytest.mark.parametrize("paths", ["t.json", [1], {"a": "t.json"}])

@@ -8,6 +8,7 @@ from breaklab.kernels import (
     GRAM_PIVOT_RTOL,
     ar1_path,
     bridge_sup,
+    lagged_ou,
     ldl,
     lur_cusum_sup,
     qp_sup,
@@ -314,6 +315,28 @@ def test_limit_kernels_give_the_same_bits_with_caller_scratch(kernel, args):
     else:
         got = kernel(*args, work=work)
     assert got.tobytes() == fresh.tobytes()
+    for a, b in zip(arrays, before):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("c", [-5.0, 0.0, 2.0])
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+def test_lur_cusum_sup_given_its_regressor_path_rows_matches_the_path_less_call(c, strided):
+    # tabulation runs the recursion once over a sub-block and hands each tile its rows of the path
+    dbe, dbu = _W[:, 0] * 0.1, _W[:, 1] * 0.1
+    if strided:
+        wide = np.full(_W.shape, np.nan)
+        j_prev = lagged_ou(dbu, c, out=wide[:, 2])
+    else:
+        j_prev = lagged_ou(dbu, c)
+    arrays = (dbe, dbu, j_prev)
+    before = [a.copy() for a in arrays]
+    work = np.full(_W.size, np.nan), np.full(_W.size, np.nan)
+    for rows in (slice(None), slice(2, 5), slice(6, 7)):
+        fresh = lur_cusum_sup(dbe[rows], dbu[rows], c)
+        for scratch in (None, work):
+            got = lur_cusum_sup(dbe[rows], dbu[rows], c, work=scratch, j_prev=j_prev[rows])
+            assert got.tobytes() == fresh.tobytes()
     for a, b in zip(arrays, before):
         assert a.tobytes() == b.tobytes()
 

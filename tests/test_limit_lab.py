@@ -35,7 +35,7 @@ from breaklab.limit_lab import (
 )
 from breaklab.rng import SeedSpec, derive_stream, limit_draw_stream
 from breaklab.schema import MEMORY_BUDGET
-from shared import kolmogorov_quantile
+from shared import TABULATION_ALLOWANCE, kolmogorov_quantile, traced_peak
 
 
 def test_kolmogorov_oracle_matches_reference():
@@ -419,6 +419,45 @@ def test_a_shared_draw_gives_each_functional_its_own_draws(functionals, lo, size
     assert [d.tobytes() for d in shared] == [d.tobytes() for d in alone]
 
 
+#: sub-blocks of `whole` tiles of `tile` draws and a ragged tile of 1..tile-1 draws
+_TILED = dict(tile=st.integers(2, 9), whole=st.integers(1, 3), part=st.integers(0, 7))
+
+
+def _tile_budgets(row_bytes, tile, whole, part):
+    """(_BLOCK_BYTES, _TILE_BYTES) of one draw per tile, then of `tile` draws, under one
+    sub-block budget that is no multiple of the tile, so the last tile of a sub-block is ragged."""
+    block = (whole * tile + 1 + part % (tile - 1)) * row_bytes
+    return [(block, row_bytes), (block, tile * row_bytes)]
+
+
+@pytest.mark.parametrize("kind", FUNCTIONAL_KINDS)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(lo=st.integers(0, 300), size=st.integers(1, 40), n_steps=st.integers(10, 300), p=st.integers(1, 3),
+       **_TILED)
+def test_draw_block_does_not_depend_on_the_tile_budget(kind, lo, size, n_steps, p, tile, whole, part):
+    args = (kind, 11, lo, lo + size, n_steps, p, *_DRAW_PARAMS[kind])
+    default = _draw_block(*args)
+    row_bytes = 8 * n_steps * {"supqp": p, "supabslurcusum": 2}.get(kind, 1)
+    for block, tile_bytes in _tile_budgets(row_bytes, tile, whole, part):
+        with mock.patch.object(limit_lab, "_BLOCK_BYTES", block), \
+                mock.patch.object(limit_lab, "_TILE_BYTES", tile_bytes):
+            assert _draw_block(*args).tobytes() == default.tobytes()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(functionals=st.lists(_SHAREABLE, min_size=2, max_size=5), lo=st.integers(0, 300),
+       size=st.integers(1, 40), n_steps=st.integers(10, 300), **_TILED)
+def test_a_shared_draw_does_not_depend_on_the_tile_budget(functionals, lo, size, n_steps, tile, whole, part):
+    # tiles are counted in draws of the widest shape, the supqp of the largest p
+    default = _draw_blocks(functionals, 11, lo, lo + size, n_steps)
+    row_bytes = 8 * n_steps * max(p for _, p, *_ in functionals)
+    for block, tile_bytes in _tile_budgets(row_bytes, tile, whole, part):
+        with mock.patch.object(limit_lab, "_BLOCK_BYTES", block), \
+                mock.patch.object(limit_lab, "_TILE_BYTES", tile_bytes):
+            shared = _draw_blocks(functionals, 11, lo, lo + size, n_steps)
+        assert [d.tobytes() for d in shared] == [d.tobytes() for d in default]
+
+
 def test_a_shared_draw_is_read_only():
     # supabslurcusum forms its motions in its normals, so it may only reduce a draw it owns
     lur, bridge = ("supabslurcusum", 1, 0.0, -5.0, 0.0), ("supabsbb", 1, 0.0, None, None)
@@ -465,6 +504,26 @@ def test_tabulation_reuses_one_workspace_of_three_budgets(kind, params):
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("supabsbb", {}),
+        ("supqp", {"p": 2, "nu": 0.15}),
+        ("supqp", {"p": 3, "nu": 0.15}),
+        ("supabslurcusum", {"c": -5.0, "corr": -0.5}),
+        ("cvmp1trace", {}),
+    ],
+    ids=["supabsbb", "supqp-p2", "supqp-p3", "supabslurcusum", "cvmp1trace"],
+)
+def test_tabulation_holds_one_budget_of_normals_plus_tile_scratch(kind, params):
+    # a sub-block's normals and at most three tiles of scratch, reused by every
+    # tile; supabslurcusum adds its regressor's path over a sub-block, half its normals
+    bound = limit_lab._BLOCK_BYTES + 3 * limit_lab._TILE_BYTES + TABULATION_ALLOWANCE
+    if kind == "supabslurcusum":
+        bound += limit_lab._BLOCK_BYTES // 2
+    assert traced_peak(tabulate, kind, [0.95], 4096, n_steps=2000, **params) < bound
 
 
 def test_table_json_round_trip(tmp_path):
