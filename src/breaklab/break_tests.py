@@ -132,18 +132,21 @@ def _finish(kind, ks, path, nu, design_dim, sided, valid, skipped=()):
 # ---------------------------------------------------------------------------
 # statistics of one pooled fit
 #
-# Every statistic is a functional of the pooled fit: the CUSUMs of its
-# residuals, Wald and zmean of its residual partial sums and the cumulative
-# Gram matrix.  The fit may be of one sample or of stacked samples (see
-# ``estimators.fit_xy``); the engine evaluates each cell's whole stack
+# Every statistic is a functional of the pooled fit's running sums at the
+# scanned splits and at T (``kernels.partial_sums``): the CUSUMs of its
+# residuals, bridged; Wald and zmean of its residual cross-products and the
+# cumulative Gram matrix.  The fit may be of one sample or of stacked samples
+# (see ``estimators.fit_xy``); the engine evaluates each cell's whole stack
 # through the same functions.
 # ---------------------------------------------------------------------------
 
 def _cusum_outcome(kind, fit, nu, sided, values, spread):
-    """Bridge-centered partial sums of ``values`` scaled by sqrt(spread * T)."""
+    """Bridge-centered partial sums of ``values`` at the scanned splits, S_k - (k/T) S_T,
+    scaled by sqrt(spread * T)."""
     valid, nu, (k_lo, k_hi) = _scan_setup(kind, fit, nu)
     ks = np.arange(k_lo, k_hi + 1)
-    path = kernels.bridge_in_place(np.cumsum(values, axis=-1))[..., k_lo - 1 : k_hi]
+    splits, total = kernels.partial_sums(values, k_lo, k_hi)
+    path = kernels.bridge_in_place(splits, end=total[..., None], j_lo=k_lo, n=fit.n_obs)
     scale = np.expand_dims(np.sqrt(spread) * math.sqrt(fit.n_obs), -1)
     with np.errstate(divide="ignore", invalid="ignore"):
         path /= scale

@@ -136,8 +136,9 @@ def residual_partial_sums(fit):
     """Running sums S_t = sum_{j<=t} x_j * resid_j, one p-vector per row
     (per sample of a stacked fit).
 
-    With an all-ones design this is the plain cumulative sum of residuals,
-    which is the raw material of the residual-based statistics.
+    With an all-ones design this is the plain cumulative sum of residuals.
+    The statistics do not read it: they take their running sums at the
+    scanned splits from :func:`breaklab.kernels.partial_sums`.
     """
     return np.cumsum(fit.design * fit.residuals[..., None], axis=-2)
 

@@ -4,11 +4,12 @@ Kernels operate on pre-drawn innovation arrays and are fully deterministic:
 all randomness lives in :mod:`breaklab.rng` streams owned by the callers.
 The first-order recursion, the factorization and the Wald scan take stacks
 of series or small problems and treat every stacked one independently, so a
-result never depends on what else was stacked with it.  Kernels never write
-their inputs.  The limit kernels and the recursion take their scratch from a
-keyword-only ``out`` array or ``work`` pair of flat buffers if given, with
-the same bits: tabulation reduces its draws in row tiles, each inside one
-``work`` pair sized to a tile and reused by every tile of the tabulation.
+result never depends on what else was stacked with it.  Kernels write no
+input except :func:`bridge_in_place`'s, in place, and one given as ``out``.
+The limit kernels and the recursion take their scratch from a keyword-only
+``out`` array or ``work`` pair of flat buffers if given, with the same bits:
+tabulation reduces its draws in row tiles, each inside one ``work`` pair
+sized to a tile and reused by every tile of the tabulation.
 """
 
 import numpy as np
@@ -130,6 +131,44 @@ def _regime_quadratic(gram, floor, sums):
 
 
 # ---------------------------------------------------------------------------
+# the partial-sum core: every statistic's running sums, and every bridge
+# ---------------------------------------------------------------------------
+
+def partial_sums(values, k_lo, k_hi, *, out=None):
+    """Running sums S_k of the stack ``values`` (..., T), into ``out`` (``values``
+    itself may be given) or a new array: views of S_k at the splits k_lo..k_hi
+    and of S_T."""
+    run = np.cumsum(values, axis=-1, out=out)
+    return run[..., k_lo - 1 : k_hi], run[..., -1]
+
+
+def grid_fractions(out, j_lo, n):
+    """j/n for j = j_lo, j_lo + 1, ... into the 1-d ``out``, returned; exact sums
+    of ones divided once, so each is the correctly rounded j/n numpy gives."""
+    out.fill(1.0)
+    out[:1] = j_lo
+    np.cumsum(out, out=out)
+    out /= n
+    return out
+
+
+def bridge_in_place(w, tmp=None, *, end=None, j_lo=1, n=None):
+    """Rows of partial sums ``w`` (..., m) at grid points j_lo, j_lo + 1, ... of
+    ``n`` intervals (default: all of them, n = m) to bridges w(j/n) - (j/n) w(1)
+    in place, w(1) from ``end`` (default ``w[..., -1:]``).  ``tmp``, of the
+    shape of ``w``, holds the subtrahends if given: its last row takes the
+    fractions, multiplied into the other rows first and scaled last."""
+    m = w.shape[-1]
+    rows = (np.empty(w.shape) if tmp is None else tmp).reshape(-1, m)
+    ends = (w[..., -1:] if end is None else end).reshape(-1, 1)
+    frac = grid_fractions(rows[-1], j_lo, m if n is None else n)
+    np.multiply(frac, ends[:-1], out=rows[:-1])
+    frac *= ends[-1]
+    w -= rows.reshape(w.shape)
+    return w
+
+
+# ---------------------------------------------------------------------------
 # Wald statistic scan over candidate break indices
 # ---------------------------------------------------------------------------
 #
@@ -180,18 +219,12 @@ def _scan_tile(X, y, k_lo, k_hi, sigma2, values, ok):
     p = X.shape[-1]
     lower = [(i, j) for i in range(p) for j in range(i + 1)]
     run = np.empty(y.shape)
-
-    def running(a, b, split, total):
-        # cumulative sums of a * b: their values at the splits, and at T
-        np.cumsum(np.multiply(a, b, out=run), axis=-1, out=run)
-        split[...], total[...] = run[:, k_lo - 1 : k_hi], run[:, -1]
-
     g1, gram = np.empty((p, p, *values.shape)), np.empty((p, p, len(y)))
     sums, xy = np.empty((p, *values.shape)), np.empty((p, len(y)))
     for i, j in lower:
-        running(X[..., i], X[..., j], g1[i, j], gram[i, j])
+        g1[i, j], gram[i, j] = partial_sums(np.multiply(X[..., i], X[..., j], out=run), k_lo, k_hi, out=run)
     for i in range(p):
-        running(X[..., i], y, sums[i], xy[i])
+        sums[i], xy[i] = partial_sums(np.multiply(X[..., i], y, out=run), k_lo, k_hi, out=run)
     floor = GRAM_PIVOT_RTOL * np.max(np.diagonal(gram), axis=-1)
     l_full, d_full, bad_full = ldl(gram, floor)
     beta = ldl_solve(l_full, d_full, xy)[..., None]
@@ -216,14 +249,6 @@ def carve(work, *shapes):
     if work is None:
         return [np.empty(shape) for shape in shapes]
     return [buf[: np.prod(shape)].reshape(shape) for buf, shape in zip(work, shapes)]
-
-
-def bridge_in_place(w, tmp=None):
-    """Rows of partial sums ``w`` (..., n) to bridges w(j/n) - (j/n) w(1), in
-    place; ``tmp``, of the shape of ``w``, holds the subtrahend if given."""
-    n = w.shape[-1]
-    w -= np.multiply(np.arange(1, n + 1) / n, w[..., -1:], out=tmp)
-    return w
 
 
 def bridge_sup(z, j_lo, j_hi, *, work=None):
@@ -257,8 +282,13 @@ def qp_sup(z, j_lo, j_hi, *, work=None):
     bb *= 1.0 / np.sqrt(n)
     np.square(bridge_in_place(bb, tmp), out=bb)
     q = np.sum(bb, axis=1, out=tmp[:, 0])[:, j_lo - 1 : j_hi]
-    frac_in = np.arange(j_lo, j_hi + 1) / n
-    q /= frac_in * (1.0 - frac_in)
+    # the weights pi (1 - pi), in the summed squares' space: in two halves if that is one row (one draw, p=1)
+    free = bb.reshape(-1)
+    half = free.size // 2
+    for lo in range(0, q.shape[1], half):
+        frac = grid_fractions(free[: min(half, q.shape[1] - lo)], j_lo + lo, n)
+        weight = np.subtract(1.0, frac, out=free[half : half + frac.size])
+        q[:, lo : lo + frac.size] /= np.multiply(frac, weight, out=weight)
     return q.max(axis=1)
 
 

@@ -58,6 +58,9 @@ _BLOCK_BYTES = 4 << 20
 #: bytes of a sub-block's normals reduced at once, so a tile and its scratch fit in one core's L2 cache
 _TILE_BYTES = 256 << 10
 
+#: quantile levels this close are one level: a lookup matches either, and no table or tabulation holds both
+LEVEL_TOL = 1e-9
+
 
 @dataclass
 class PathGrid:
@@ -91,13 +94,21 @@ class CriticalValueTable:
     def lookup(self, level):
         """Quantile at ``level``; exact matches only, no interpolation."""
         for lv, value in self.quantiles.items():
-            if abs(lv - level) <= 1e-9:
+            if abs(lv - level) <= LEVEL_TOL:
                 return value
         available = ", ".join(f"{lv:.10g}" for lv in sorted(self.quantiles))
         raise TableLookupError(
             f"table ({self.functional_kind}, p={self.p}, nu={self.nu:g}) has no "
             f"quantile at level {level:.10g}; available levels: {available}"
         )
+
+
+def _one_per_level(named, error, what):
+    """Raise ``error`` (of ``what``) naming two of the ``(level, name)`` pairs within :data:`LEVEL_TOL`."""
+    named = sorted(named)
+    for (lo, lo_name), (hi, hi_name) in zip(named, named[1:]):
+        if hi - lo <= LEVEL_TOL:
+            raise error(f"{what}: {lo_name} and {hi_name} are one level (within {LEVEL_TOL:g})")
 
 
 def type1_quantile(sorted_values, level):
@@ -124,8 +135,9 @@ def check_functional(kind, n_steps, p, nu, c=None, corr=None):
     if p < 1:
         raise SpecError(f"dimension p must be >= 1, got {p}")
     shape = {"supqp": (p, n_steps), "supabslurcusum": (2, n_steps)}.get(kind, (n_steps,))
-    # a sub-block of one draw (_draw_blocks): its normals and their _workspace, in Python ints that cannot wrap;
-    # supabslurcusum's regressor path and three arrays of scratch are 1.5 times its normals too
+    # a sub-block of one draw (_draw_blocks) holds this and no more: its normals and their _workspace, twice
+    # their size (supabslurcusum's regressor path and three half-size arrays), where every kernel also writes
+    # its bridge's grid fractions; in Python ints that cannot wrap
     size = 3 * 8 * math.prod(map(int, shape))
     if size > MEMORY_BUDGET:
         raise SpecError(f"n_steps={n_steps} needs {size} bytes per {kind} draw of shape {shape}, "
@@ -295,7 +307,7 @@ def _cvm_from_increments(z, work=None):
     np.cumsum(z[:, :-1], axis=1, out=w[:, 1:])
     w_one = (w[:, -1:] + z[:, -1:]) * (1.0 / math.sqrt(n))
     w[:, 1:] *= 1.0 / math.sqrt(n)
-    w[:, 1:] -= np.multiply(np.arange(1, n) / n, w_one, out=tmp[:, 1:])
+    kernels.bridge_in_place(w[:, 1:], tmp[:, 1:], end=w_one, n=n)
     np.multiply(w, w, out=w)
     return np.sum(w, axis=1) / n
 
@@ -349,6 +361,7 @@ def tabulate_together(functionals, levels, n_reps, n_steps, master_seed):
     levels = [float(lv) for lv in levels]
     if not levels or any(not 0.0 < lv < 1.0 for lv in levels):
         raise SpecError(f"quantile levels must lie in (0, 1), got {levels}")
+    _one_per_level([(lv, repr(lv)) for lv in levels], SpecError, "quantile levels")
     checked = [check_functional(kind, n_steps, p, nu, c, corr)[1] for kind, p, nu, c, corr in functionals]
     tables = []
     for (kind, *_), (n_steps, p, nu, c, corr), draws in zip(
@@ -449,6 +462,7 @@ def table_from_json_dict(payload):
             raise DataError(f"{label('levels')} keys must be numbers in (0, 1), got {key!r}")
         return lv
 
+    named = [(level(key), repr(key)) for key in levels]
     try:
         table = CriticalValueTable(
             functional_kind=payload["kind"],
@@ -456,7 +470,7 @@ def table_from_json_dict(payload):
             nu=field(float, payload["nu"], "nu"),
             c=None if payload.get("c") is None else field(float, payload["c"], "c"),
             corr=None if payload.get("corr") is None else field(float, payload["corr"], "corr"),
-            quantiles={level(lv): field(float, v, "levels") for lv, v in levels.items()},
+            quantiles={lv: field(float, v, "levels") for (lv, _), v in zip(named, levels.values())},
             meta={
                 "n_steps": field(int, meta["n_steps"], "meta.n_steps"),
                 "n_reps": field(int, meta["n_reps"], "meta.n_reps"),
@@ -466,8 +480,7 @@ def table_from_json_dict(payload):
         check_functional(table.functional_kind, table.meta["n_steps"], table.p, table.nu, table.c, table.corr)
     except SpecError as exc:
         raise DataError(f"critical-value table does not define a limit functional: {exc}") from exc
-    if len(table.quantiles) < len(levels):  # "0.95" and "0.950": one level, one quantile dropped
-        raise DataError(f"{label('levels')} gives a level twice, got keys {list(levels)}")
+    _one_per_level(named, DataError, f"{label('levels')} keys")  # "0.95" and "0.950": one quantile dropped
     if not all(map(math.isfinite, table.quantiles.values())):
         raise DataError(f"critical-value table field 'levels' must hold finite quantiles, got {levels}")
     return table

@@ -397,6 +397,28 @@ def test_a_table_level_given_twice_or_outside_0_1_exits_2(tmp_path, sample_csv, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("keys", [("0.95", "0.9500000001"), ("0.9500000001", "0.95")])
+def test_a_table_with_two_keys_of_one_level_exits_2_naming_both(tmp_path, sample_csv, capfd, keys):
+    # within the lookup's tolerance, the decision would read whichever quantile came first
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({**_TABLE, "levels": dict(zip(keys, (1.36, 9.9)))}))
+    out = tmp_path / "o.json"
+    assert main(["test", "--stat", "cusum", "--input", str(sample_csv), "--critvals", str(path),
+                 "--out", str(out)]) == 2
+    err = capfd.readouterr().err
+    assert "'0.95' and '0.9500000001' are one level" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_critvals_of_one_level_twice_exits_2_before_any_draw(tmp_path, capfd, drawn):
+    # both would be written as the key "0.95", and one quantile dropped unseen
+    out = tmp_path / "c.json"
+    assert main(["critvals", "--kind", "supabsbb", "--reps", "1000", "--steps", "50",
+                 "--levels", "0.95,0.95000000001", "--out", str(out)]) == 2
+    assert "0.95 and 0.95000000001 are one level" in capfd.readouterr().err
+    assert drawn == [] and not out.exists()
+
+
 def test_string_table_paths_exit_2_naming_the_field(tmp_path, capfd):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({**_SPEC, "table_source": {"mode": "precomputed", "paths": "t.json"}}))

@@ -526,6 +526,42 @@ def test_tabulation_holds_one_budget_of_normals_plus_tile_scratch(kind, params):
     assert traced_peak(tabulate, kind, [0.95], 4096, n_steps=2000, **params) < bound
 
 
+@pytest.mark.parametrize(
+    "kind,p,nu,c,corr",
+    [("supabsbb", 1, 0.0, None, None), ("supqp", 1, 0.15, None, None), ("supqp", 3, 0.15, None, None),
+     ("supabslurcusum", 1, 0.0, -5.0, -0.5), ("cvmp1trace", 1, 0.0, None, None)],
+    ids=["supabsbb", "supqp-p1", "supqp-p3", "supabslurcusum", "cvmp1trace"],
+)
+def test_one_draw_holds_what_the_memory_rule_counts(kind, p, nu, c, corr):
+    # check_functional charges a sub-block of one draw three times its normals: the normals and
+    # its workspace, which must also hold every bridge's grid fractions; 16 KiB for the rest
+    shape, _ = check_functional(kind, 100000, p, nu, c, corr)
+    _draw_block(kind, 7, 0, 1, 100000, p, nu, c, corr)  # warm-up: numpy's own first-call allocations
+    bound = 3 * 8 * math.prod(shape) + (16 << 10)
+    assert traced_peak(_draw_block, kind, 7, 0, 1, 100000, p, nu, c, corr) <= bound
+
+
+def test_levels_within_the_tolerance_are_one_level():
+    table = CriticalValueTable("supabsbb", 1, 0.0, None, None, {0.95: 1.358},
+                               {"n_steps": 100, "n_reps": 1000, "master_seed": 0})
+    assert table.lookup(0.95 + limit_lab.LEVEL_TOL / 2) == 1.358
+    with pytest.raises(TableLookupError):
+        table.lookup(0.95 + 2 * limit_lab.LEVEL_TOL)
+    payload = {**table_to_json_dict(table), "levels": {"0.95": 1.358, "0.9500000001": 9.9}}
+    for levels in (payload["levels"], dict(reversed(payload["levels"].items()))):
+        with pytest.raises(DataError, match="'0.95' and '0.9500000001' are one level"):
+            table_from_json_dict({**payload, "levels": levels})
+    assert table_from_json_dict({**payload, "levels": {"0.95": 1.358, "0.950000002": 9.9}}).quantiles == {
+        0.95: 1.358, 0.950000002: 9.9}
+
+
+@pytest.mark.parametrize("levels", [[0.95, 0.95], [0.9, 0.95000000001, 0.95]])
+def test_a_tabulation_of_one_level_twice_is_refused_before_any_draw(levels, drawn):
+    with pytest.raises(SpecError, match="0.95 and 0.95.* are one level"):
+        tabulate("supabsbb", levels, 1000, n_steps=50)
+    assert drawn == []
+
+
 def test_table_json_round_trip(tmp_path):
     table = tabulate(
         "supqp", levels=[0.95], n_reps=1000, n_steps=200, master_seed=5, p=2, nu=0.15
