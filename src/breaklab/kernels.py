@@ -143,11 +143,11 @@ def partial_sums(values, k_lo, k_hi, *, out=None):
 
 
 def grid_fractions(out, j_lo, n):
-    """j/n for j = j_lo, j_lo + 1, ... into the 1-d ``out``, returned; exact sums
-    of ones divided once, so each is the correctly rounded j/n numpy gives."""
+    """j/n for j = j_lo, j_lo + 1, ... along the last axis of ``out``, returned; exact
+    sums of ones divided once, so each is the correctly rounded j/n numpy gives."""
     out.fill(1.0)
-    out[:1] = j_lo
-    np.cumsum(out, out=out)
+    out[..., :1] = j_lo
+    np.cumsum(out, axis=-1, out=out)
     out /= n
     return out
 
@@ -161,9 +161,9 @@ def bridge_in_place(w, tmp=None, *, end=None, j_lo=1, n=None):
     m = w.shape[-1]
     rows = (np.empty(w.shape) if tmp is None else tmp).reshape(-1, m)
     ends = (w[..., -1:] if end is None else end).reshape(-1, 1)
-    frac = grid_fractions(rows[-1], j_lo, m if n is None else n)
+    frac = grid_fractions(rows[-1:], j_lo, m if n is None else n)  # no row of an empty stack
     np.multiply(frac, ends[:-1], out=rows[:-1])
-    frac *= ends[-1]
+    frac *= ends[-1:]
     w -= rows.reshape(w.shape)
     return w
 

@@ -271,6 +271,12 @@ def _table(kind="supabsbb", p=1, nu=0.0, levels=None):
     )
 
 
+def test_an_empty_stack_gives_empty_paths():
+    fit = fit_xy(np.ones((0, 20, 1)), np.zeros((0, 20)))
+    assert cusum_path(fit).path.shape == (0, 19)
+    assert cusum_sq_path(fit).path.shape == (0, 19)
+
+
 def test_decide_thresholds():
     out = cusum_path(ols_fit(STEP))
     low = decide(out, _table(levels={0.95: 1.358}), 0.05)

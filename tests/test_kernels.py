@@ -7,10 +7,13 @@ from numpy.testing import assert_allclose
 from breaklab.kernels import (
     GRAM_PIVOT_RTOL,
     ar1_path,
+    bridge_in_place,
     bridge_sup,
+    grid_fractions,
     lagged_ou,
     ldl,
     lur_cusum_sup,
+    partial_sums,
     qp_sup,
     wald_scan,
 )
@@ -149,6 +152,46 @@ def test_wald_scan_flags_singular_regimes():
     assert not ok[: 6 - 2 + 1].any()  # k = 2..6 leave regime 1 collinear
     assert ok[-1]
     assert np.isnan(vals[~ok]).all()
+
+
+# ---------------------------------------------------------------------------
+# the partial-sum core: partial_sums / grid_fractions / bridge_in_place
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(40,), (3, 40), (2, 3, 40), (0, 40)])
+def test_partial_sums_are_the_running_sums_at_the_splits_and_at_T(shape):
+    values = np.random.default_rng(1).standard_normal(shape)
+    run = np.cumsum(values, axis=-1)
+    splits, total = partial_sums(values, 5, 36)
+    assert np.array_equal(splits, run[..., 4:36]) and np.array_equal(total, run[..., -1])
+    splits, total = partial_sums(values, 5, 36, out=values)  # in place
+    assert np.array_equal(values, run) and np.array_equal(splits, run[..., 4:36])
+
+
+@pytest.mark.parametrize("j_lo,n,m", [(1, 1, 1), (1, 7, 7), (3, 7, 3), (1, 1000, 999), (12345, 2**20 + 3, 5000)])
+def test_grid_fractions_are_numpys_integer_division(j_lo, n, m):
+    assert np.array_equal(grid_fractions(np.full(m, np.nan), j_lo, n), np.arange(j_lo, j_lo + m) / n)
+    assert np.array_equal(grid_fractions(np.empty((2, m)), j_lo, n), np.tile(np.arange(j_lo, j_lo + m) / n, (2, 1)))
+
+
+@pytest.mark.parametrize("rows", [(), (1,), (5,), (0,), (2, 3)])
+def test_bridging_the_scanned_splits_is_bridging_all_and_slicing(rows):
+    T, k_lo, k_hi = 50, 7, 43
+    w = np.random.default_rng(2).standard_normal((*rows, T)).cumsum(axis=-1)
+    want = w - (np.arange(1, T + 1) / T) * w[..., -1:]
+    assert np.array_equal(bridge_in_place(w.copy()), want)
+    assert np.array_equal(bridge_in_place(w.copy(), np.full(w.shape, np.nan)), want)
+    splits = w[..., k_lo - 1 : k_hi].copy()
+    tmp = np.full(splits.shape, np.nan)
+    assert np.array_equal(bridge_in_place(splits, tmp, end=w[..., -1:], j_lo=k_lo, n=T), want[..., k_lo - 1 : k_hi])
+
+
+@pytest.mark.parametrize("n,j_lo,j_hi", [(2, 1, 1), (9, 1, 8), (200, 3, 197), (201, 30, 170)])
+def test_qp_sup_of_one_draw_is_its_row_of_a_stack(n, j_lo, j_hi):
+    # one draw at p=1 forms its weights in two halves of its scratch; a stack in one pass
+    z = np.random.default_rng(3).standard_normal((4, 1, n))
+    stacked = qp_sup(z, j_lo, j_hi)
+    assert np.array_equal([qp_sup(z[i : i + 1], j_lo, j_hi)[0] for i in range(4)], stacked)
 
 
 # ---------------------------------------------------------------------------
