@@ -16,6 +16,11 @@ error are flushed, it exits at once, without interpreter teardown.  The exit
 codes are those above.  :func:`main` returns the code, so an in-process
 caller carries on after it.
 
+Every write and flush of standard output and standard error (log records, help
+and usage, ``test``'s outcome, the exit flushes) goes through ``_stdio``: a
+failed one exits 120 with one ``breaklab: cannot ...`` line on standard error,
+except a log record's, so a closed standard error loses the log, not the code.
+
 Each command loads only the modules it runs: the parser reads its choices
 from ``dgp``, ``limit_lab`` and ``break_tests``, and only ``experiment``
 loads the replication engine (``experiments``).  So ``simulate``,
@@ -41,11 +46,27 @@ from contextlib import suppress
 log = logging.getLogger("breaklab")
 
 
-class _StderrHandler(logging.StreamHandler):
-    """Writes each record to the ``sys.stderr`` of that moment, never to a
-    stream an in-process caller has since swapped or closed."""
+def _stdio(name, text=None):
+    """Write ``text`` to standard ``name`` ("output" or "error") as ``sys`` holds it now, or flush
+    it if ``text`` is None; a None stream (the interpreter started without it) is skipped.  Returns
+    0, or 120 on a failed stream (a closed pipe or stream), after one line on standard error if it can."""
+    stream = sys.stdout if name == "output" else sys.stderr
+    try:
+        if stream is not None:
+            stream.flush() if text is None else stream.write(text)
+        return 0
+    except (OSError, ValueError) as exc:
+        with suppress(AttributeError, OSError, ValueError):
+            sys.stderr.write(f"breaklab: cannot {'flush' if text is None else 'write'} standard {name}: {exc}\n")
+            sys.stderr.flush()
+        return 120
 
-    stream = property(lambda self: sys.stderr, lambda self, stream: None)
+
+class _StderrHandler(logging.Handler):
+    """Writes and flushes each record by :func:`_stdio`: a closed standard error loses the log, not the command."""
+
+    def emit(self, record):
+        _stdio("error", self.format(record) + "\n") or _stdio("error")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,12 +78,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
     def _print_message(self, message, file=None):
-        file = file or sys.stderr
-        if message and file is not None:  # None: the interpreter started without that stream
-            try:
-                file.write(message)
-            except (OSError, ValueError) as exc:
-                self.exit(_cannot("write", "output" if file is sys.stdout else "error", exc))
+        if message and (code := _stdio("output" if file is not None and file is sys.stdout else "error", message)):
+            self.exit(code)
 
 
 def _coef_list(text):
@@ -137,7 +154,7 @@ def build_parser():
         description="Tabulate quantiles of a simulated limit functional.",
     )
     cvs.add_argument("--kind", required=True, choices=limit_lab.FUNCTIONAL_KINDS)
-    cvs.add_argument("--p", type=int, default=1, help="dimension of the functional")
+    cvs.add_argument("--p", type=int, default=1, help="dimension of the functional (supqp)")
     cvs.add_argument("--nu", type=float, help="trimming (default: that of the statistics it calibrates)")
     cvs.add_argument("--c", type=float, help="persistence parameter (supabslurcusum)")
     cvs.add_argument("--corr", type=float, help="innovation correlation (supabslurcusum)")
@@ -258,11 +275,8 @@ def cmd_test(args):
     if args.out:
         write_text(args.out, "outcome", text)
         log.info("wrote outcome to %s", args.out)
-    else:
-        try:
-            sys.stdout.write(text)
-        except (OSError, ValueError) as exc:  # a closed pipe or stream
-            return _cannot("write", "output", exc)
+    elif code := _stdio("output", text):
+        return code
     if args.path_out:
         rows = ([str(int(k)), format(float(v), ".17g")] for k, v in zip(outcome.ks, outcome.path))
         write_text(args.path_out, "path", csv_text(("k", "value"), rows))
@@ -314,14 +328,13 @@ def cmd_experiment(args):
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# entry points
 # ---------------------------------------------------------------------------
 
-def dispatch(argv):
-    """Parse and run; returns the process exit code."""
-    parser = build_parser()
+def main(argv=None):
+    """Parse ``argv`` (default ``sys.argv[1:]``) and run; returns the process exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     level = logging.INFO
@@ -345,19 +358,6 @@ def dispatch(argv):
         return 3
 
 
-def main(argv=None):
-    return dispatch(argv if argv is not None else sys.argv[1:])
-
-
-def _cannot(action, name, exc):
-    """Report on standard error that standard ``name`` could not ``action``;
-    returns the exit code for it, 120, the interpreter's own for a failed flush."""
-    with suppress(AttributeError, OSError, ValueError):
-        sys.stderr.write(f"breaklab: cannot {action} standard {name}: {exc}\n")
-        sys.stderr.flush()
-    return 120
-
-
 def run(argv=None):
     """The process entry point: :func:`main`, then flush standard output and
     standard error and exit with its code, skipping interpreter teardown.
@@ -368,12 +368,8 @@ def run(argv=None):
     standard output failed.
     """
     code = main(argv)
-    for stream, name in ((sys.stdout, "output"), (sys.stderr, "error")):
-        try:
-            if stream is not None:  # None: the interpreter started without that stream
-                stream.flush()
-        except (OSError, ValueError) as exc:  # a closed pipe or stream
-            code = _cannot("flush", name, exc)
+    for name in ("output", "error"):
+        code = _stdio(name) or code
     os._exit(code)
 
 

@@ -8,12 +8,13 @@ one group draw the same normals, so each stack of replications draws them
 once for the whole group.  A group's replications are cut into nearly equal
 stacks of at most :data:`CHUNK_SIZE`, bounded by :data:`STACK_BYTES` and
 enough to keep every worker busy, and one payload is one stack of one group;
-all payloads go through one map, over a process pool when ``workers > 1``,
-so no worker waits at a cell boundary.  Results are then aggregated, logged
-and reported per cell in grid order.  A payload's replications are generated
-together and evaluated together: the cells of one covariance share one pair
-transform of the normals, each cell's stack gets one pooled fit, and each
-statistic is evaluated once on the stacked fits.
+all payloads go through one map, over a process pool of at most one worker
+per payload when ``workers > 1``, so no worker waits at a cell boundary.
+Results are then aggregated, logged and reported per cell in grid order.  A
+payload's replications are generated together and evaluated together: the
+cells of one covariance share one pair transform of the normals, each cell's
+stack gets one pooled fit, and each statistic is evaluated once on the
+stacked fits.
 """
 
 import logging
@@ -387,8 +388,8 @@ def run_experiment(spec, workers=1, paths_sample=0):
     ----------
     spec : ExperimentSpec
     workers : int
-        Process count for the payloads; results are identical for any
-        value.
+        Process count for the payloads, at most one per payload; results
+        are identical for any value.
     paths_sample : int
         Dump the raw statistic paths of the first ``paths_sample``
         replications of every cell (for plotting).
@@ -413,6 +414,7 @@ def run_experiment(spec, workers=1, paths_sample=0):
             payloads.append((cfgs, stat_items, spec.master_seed, lo, hi, paths_sample))
             served.append(cells)
     chunks = [[] for _ in spec.dgp_grid]  # per cell, its payloads' results in replication order
+    workers = min(workers, len(payloads))  # a forked pool starts every worker at its first submit
     if workers > 1:  # importing the pool loads multiprocessing, which a serial run never needs
         from concurrent.futures import ProcessPoolExecutor
     executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None

@@ -42,11 +42,13 @@ from .rng import DEFAULT_MASTER_SEED, LIMIT_DRAW_STREAM_OFFSET, limit_draw_strea
 from .schema import (MEMORY_BUDGET, SCHEMA_VERSION, finite, json_object, json_text, jsonable, read_json, typed,
                      write_text)
 
-#: functional kind -> the parameters besides ``p`` its draws read; any other must keep its default
-_READS = {"supabsbb": ("nu",), "supqp": ("nu",), "supabslurcusum": ("c", "corr"), "cvmp1trace": ()}
+#: functional kind -> the parameters its draws read; any other must keep its default, ``p`` where a table
+#: gets its label (:func:`_check_label`): a draw of any kind still takes any ``p``, and ignores it unread
+_READS = {"supabsbb": ("nu",), "supqp": ("p", "nu"), "supabslurcusum": ("c", "corr"), "cvmp1trace": ()}
 FUNCTIONAL_KINDS = tuple(_READS)
 #: parameter -> its default, and the refusal of another value by a kind that does not read it
-_UNREAD = {"nu": (0.0, "takes no trimming: nu must be 0"), "c": (None, "takes no persistence: c must be unset"),
+_UNREAD = {"p": (1, "takes no dimension: p must be 1"), "nu": (0.0, "takes no trimming: nu must be 0"),
+           "c": (None, "takes no persistence: c must be unset"),
            "corr": (None, "takes no correlation: corr must be unset")}
 
 #: default grid resolution for tabulation
@@ -159,6 +161,12 @@ def check_functional(kind, n_steps, p, nu, c=None, corr=None):
         if not -1.0 <= corr <= 1.0:
             raise SpecError(f"corr must lie in [-1, 1], got {corr}")
     return shape, (n_steps, p, nu, c, corr)
+
+
+def _check_label(kind, p):
+    """Refuse to label a table of ``kind`` with a ``p`` its draws do not read, off its default."""
+    if "p" not in _READS[kind] and p != _UNREAD["p"][0]:
+        raise SpecError(f"{kind} {_UNREAD['p'][1]}, got {p}")
 
 
 def _window(nu, n_steps):
@@ -355,7 +363,8 @@ def tabulate_together(functionals, levels, n_reps, n_steps, master_seed):
     """A :func:`tabulate` table of each functional ``(kind, p, nu, c, corr)`` at one grid,
     all drawn from one shared draw (:func:`_draw_blocks`), each bit for bit the table it
     gets alone.  Only kinds that just read their normals may share a draw: supabslurcusum
-    forms its motions in place, so it is tabulated alone."""
+    forms its motions in place, so it is tabulated alone.  Every functional is checked
+    before any is drawn."""
     if not 1000 <= n_reps <= LIMIT_DRAW_STREAM_OFFSET:  # draw i reads stream 2**63 + i, below 2**64
         raise SpecError(f"tabulation needs n_reps >= 1000 and <= 2**63, got {n_reps}")
     levels = [float(lv) for lv in levels]
@@ -363,6 +372,10 @@ def tabulate_together(functionals, levels, n_reps, n_steps, master_seed):
         raise SpecError(f"quantile levels must lie in (0, 1), got {levels}")
     _one_per_level([(lv, repr(lv)) for lv in levels], SpecError, "quantile levels")
     checked = [check_functional(kind, n_steps, p, nu, c, corr)[1] for kind, p, nu, c, corr in functionals]
+    for kind, p, *_ in functionals:
+        _check_label(kind, p)
+        if kind == "supabslurcusum" and len(functionals) > 1:
+            raise SpecError("supabslurcusum is tabulated alone: it forms its motions in the draw the others read")
     tables = []
     for (kind, *_), (n_steps, p, nu, c, corr), draws in zip(
         functionals, checked, _draw_blocks(functionals, master_seed, 0, n_reps, n_steps)
@@ -478,6 +491,7 @@ def table_from_json_dict(payload):
             },
         )
         check_functional(table.functional_kind, table.meta["n_steps"], table.p, table.nu, table.c, table.corr)
+        _check_label(table.functional_kind, table.p)
     except SpecError as exc:
         raise DataError(f"critical-value table does not define a limit functional: {exc}") from exc
     _one_per_level(named, DataError, f"{label('levels')} keys")  # "0.95" and "0.950": one quantile dropped

@@ -808,3 +808,34 @@ def test_every_output_ends_in_one_newline_and_test_writes_one_json(tmp_path, cap
     for name in written:
         data = (tmp_path / name).read_bytes()
         assert data.endswith(b"\n") and not data.endswith(b"\n\n"), name
+
+
+def test_main_with_a_closed_stderr_returns_the_exit_code(tmp_path, monkeypatch):
+    # every log record goes to the closed stream and is lost; the command's own code survives
+    closed = io.StringIO()
+    closed.close()
+    monkeypatch.setattr(sys, "stderr", closed)
+    assert main(["simulate", "--family", "location", "--T", "20", "--out", str(tmp_path / "d.csv")]) == 0
+    assert main(["test", "--stat", "cusum", "--input", str(tmp_path / "missing.csv")]) == 2
+
+
+@pytest.mark.parametrize("kind,params", [("supabsbb", []), ("supabslurcusum", ["--c", "-5"]), ("cvmp1trace", [])])
+def test_critvals_of_a_kind_without_a_dimension_refuses_p_before_any_draw(tmp_path, capfd, drawn, kind, params):
+    # the table would be labelled with a dimension its one-dimensional draws never read
+    out = tmp_path / "t.json"
+    assert main(["critvals", "--kind", kind, *params, "--p", "2", "--reps", "1000", "--steps", "50",
+                 "--out", str(out)]) == 2
+    err = capfd.readouterr().err
+    assert f"{kind} takes no dimension: p must be 1, got 2" in err and "Traceback" not in err
+    assert drawn == [] and not out.exists()
+
+
+def test_a_table_labelled_with_an_unread_dimension_exits_2(tmp_path, sample_csv, capfd):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({**_TABLE, "p": 2}))
+    out = tmp_path / "o.json"
+    assert main(["test", "--stat", "cusum", "--input", str(sample_csv), "--critvals", str(path),
+                 "--out", str(out)]) == 2
+    err = capfd.readouterr().err
+    assert "supabsbb takes no dimension: p must be 1, got 2" in err and "Traceback" not in err
+    assert not out.exists()

@@ -394,6 +394,30 @@ def test_a_lone_chunk_is_cut_for_every_worker(tmp_path, monkeypatch):
     assert files[1] == files[2] == files[3]
 
 
+def test_the_pool_starts_no_worker_without_a_payload(monkeypatch):
+    # 100 replications of one draw shape make at most 100 payloads: a forked pool of
+    # 300 would start 300 processes at its first submit
+    import concurrent.futures
+
+    pools = []
+
+    class InlinePool:  # records its worker count and payload count, runs in-process
+        def __init__(self, max_workers):
+            pools.append([max_workers])
+
+        def map(self, fn, payloads):
+            payloads = list(payloads)
+            pools[-1].append(len(payloads))
+            return map(fn, payloads)
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    run_experiment(_small_spec(n_reps=100), workers=300)
+    assert pools == [[100, 100]]
+
+
 def test_a_payload_is_one_stack(tmp_path, monkeypatch):
     # a T=500 predictive_lur replication stacks within STACK_BYTES 174 at a
     # time, fewer than CHUNK_SIZE; a T=100 location replication 1310

@@ -614,3 +614,26 @@ def test_single_draw_simulators_match_draw_block_rows(n_steps):
     assert _draw_block(
         "cvmp1trace", seed, lo, hi, n_steps, 1, 0.0, None, None
     ).tobytes() == np.array(cvm).tobytes()
+
+
+@pytest.mark.parametrize(
+    "functionals",
+    [
+        [("supabslurcusum", 1, 0.0, -5.0, None), ("supabsbb", 1, 0.0, None, None)],
+        [("supqp", 3, 0.15, None, None), ("supabslurcusum", 1, 0.0, -5.0, None)],
+    ],
+    ids=["lur-first", "lur-second"],
+)
+def test_supabslurcusum_beside_another_functional_is_refused_before_any_draw(drawn, functionals):
+    # it forms its motions in place in the draw the other functional reads
+    with pytest.raises(SpecError, match="supabslurcusum"):
+        limit_lab.tabulate_together(functionals, [0.95], 1000, 50, 11)
+    assert drawn == []
+
+
+def test_a_table_of_a_kind_without_a_dimension_is_refused_at_p_2():
+    payload = table_to_json_dict(tabulate("cvmp1trace", [0.95], 1000, n_steps=50, master_seed=11))
+    with pytest.raises(DataError, match="cvmp1trace takes no dimension: p must be 1, got 2$"):
+        table_from_json_dict({**payload, "p": 2})
+    with pytest.raises(SpecError, match="^cvmp1trace takes no dimension: p must be 1, got 2$"):
+        tabulate("cvmp1trace", [0.95], 1000, n_steps=50, master_seed=11, p=2)
